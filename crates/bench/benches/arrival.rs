@@ -1,6 +1,6 @@
 //! `arrival`: batched vs per-call arrival generation.
 //!
-//! The merged engine consumes `(op, pattern, offset)` tuples from an
+//! The engine consumes `(op, pattern, offset)` tuples from an
 //! [`ArrivalBatch`] that pregenerates [`BATCH_CHUNK`]-sized chunks via
 //! `AddressStream::fill`, instead of calling `next_io` per I/O. The
 //! batched path hoists the per-kind dispatch and (for Zipf) the

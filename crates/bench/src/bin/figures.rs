@@ -62,7 +62,7 @@
 //! committed examples) and emits one per-tenant table. May be repeated.
 //! With no explicit experiment selection alongside, only the scenario
 //! files run; output is byte-identical across `--jobs`/`--shards`
-//! values and event-queue backends like every other artifact.
+//! values like every other artifact.
 //!
 //! # Tracing
 //!

@@ -15,11 +15,9 @@
 //! * `fleet_shard1_ms` / `fleet_shard4_ms` — the 7-SSD fleet scenario
 //!   at `--shards 1` vs `--shards 4` (mirrors the `shard` bench). The
 //!   reports must be identical; the ratio is the sharding speedup,
-//! * `qos_tick_*_ns` — one `io.cost` period boundary at 8 and 1024
-//!   materialized tenants (~10 % active), arena controller vs. the
-//!   retained map baseline (mirrors the `qos_scale` bench). The gate
-//!   requires the arena ≥ [`QOS_SPEEDUP_FLOOR`]× faster at 1024 and no
-//!   slower than the baseline at 8,
+//! * `qos_tick_arena_*_ns` — one `io.cost` period boundary at 8 and
+//!   1024 materialized tenants (~10 % active) on the arena controller
+//!   (mirrors the `qos_scale` bench),
 //! * `fleet_scale_cell_ms` — one smoke-fidelity `fleet_scale` cell
 //!   (256 tenants, no knob) end to end; the snapshot also records the
 //!   derived `fleet_scale_cells_per_sec`,
@@ -37,12 +35,9 @@
 //!
 //! The O(active) engine work is gated by a second snapshot:
 //!
-//! * `fleet4096_cell_ms` / `fleet4096_legacy_cell_ms` — the 4096-tenant
-//!   smoke `fleet_scale` cell (scenario + build + run) under the merged
-//!   engine vs the in-binary queue-only engine. The merged engine must
-//!   stay at least [`ENGINE_SPEEDUP_FLOOR`]× the legacy engine, and the
-//!   cell must not regress past the PR 8 seed's recorded wall-clock
-//!   ([`PR8_FLEET4096_CELL_MS`]).
+//! * `fleet4096_cell_ms` — the 4096-tenant smoke `fleet_scale` cell
+//!   (scenario + build + run). The cell must not regress past the PR 8
+//!   seed's recorded wall-clock ([`PR8_FLEET4096_CELL_MS`]).
 //! * `fleet65536_cell_ms` — the 65536-tenant smoke cell end to end.
 //!   Gated two ways: at least [`SCALE_SPEEDUP_FLOOR`]× faster than the
 //!   PR 8 seed's recorded wall-clock for the same cell
@@ -50,7 +45,7 @@
 //!   name index and lazy histogram allocation), and absolutely within
 //!   [`FLEET64K_BUDGET_MS`] — the standard-fidelity per-cell time
 //!   budget.
-//! * `engine_events_per_sec` — merged-engine pop throughput on the
+//! * `engine_events_per_sec` — engine pop throughput on the
 //!   4096-tenant cell.
 //! * `fig4_cells_ms` / `q10_cells_ms` — summed per-cell seconds for the
 //!   fig4 and q10 grids from the most recent `figures` run's
@@ -71,11 +66,10 @@ use std::hint::black_box;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use ioqos::IoCostController;
+use ioqos::{IoCostController, QosController};
 use isol_bench::experiments::{fleet, fleet_scale};
 use isol_bench::{Fidelity, Knob};
-use isol_bench_harness::mapqos::{self, CostControl, MapIoCost};
-use isol_bench_harness::OUTPUT_DIR;
+use isol_bench_harness::{qos_fixture, OUTPUT_DIR};
 use simcore::{EventQueue, SimDuration, SimTime};
 
 /// Committed snapshot path (repo root).
@@ -88,8 +82,6 @@ const SAMPLES: usize = 5;
 const SPEEDUP_CORES: usize = 4;
 /// Required fleet speedup at 4 shards on a ≥ 4-core machine.
 const SPEEDUP_FLOOR: f64 = 2.5;
-/// Required arena-vs-map `io.cost` tick speedup at 1024 tenants.
-const QOS_SPEEDUP_FLOOR: f64 = 5.0;
 /// Ticks per timed qos sample (amortizes timer resolution).
 const QOS_TICK_ITERS: u32 = 50_000;
 /// Measurement passes `--check` may merge before reporting a
@@ -112,9 +104,6 @@ const PR8_FLEET4096_CELL_MS: f64 = 285.0;
 const PR8_FLEET65536_CELL_MS: f64 = 12_000.0;
 /// Required speedup of the 65536-tenant cell over the PR 8 seed.
 const SCALE_SPEEDUP_FLOOR: f64 = 3.0;
-/// The merged engine must not run the 4096-tenant cell slower than the
-/// in-binary queue-only engine (ratio legacy/merged, noise-tolerant).
-const ENGINE_SPEEDUP_FLOOR: f64 = 0.95;
 /// Standard-fidelity per-cell time budget the 65536-tenant smoke cell
 /// must fit in (the per-cell watchdog deadline a fleet-scale run would
 /// arm; see EXPERIMENTS.md).
@@ -184,8 +173,9 @@ fn fleet_run(shards: usize) -> (f64, u64) {
 
 /// Min nanoseconds per `io.cost` period boundary with `n` tenants
 /// materialized and ~10 % active (the `qos_scale` bench's tick axis).
-fn qos_tick_ns(ctl: &mut impl CostControl, n: usize) -> f64 {
-    let mut now = mapqos::populate(ctl, n);
+fn qos_tick_ns(n: usize) -> f64 {
+    let mut ctl = IoCostController::new(qos_fixture::bench_config());
+    let mut now = qos_fixture::populate(&mut ctl, n);
     // One warm batch before timing.
     for _ in 0..QOS_TICK_ITERS {
         now += SimDuration::from_millis(5);
@@ -213,19 +203,16 @@ fn fleet_scale_cell_ms() -> f64 {
     secs * 1e3
 }
 
-/// One 4096-tenant smoke `fleet_scale` cell (scenario + build + run)
-/// under the merged or the queue-only engine: (min ms, events per run).
-fn fleet4096_cell(merged: bool) -> (f64, u64) {
+/// One 4096-tenant smoke `fleet_scale` cell (scenario + build + run):
+/// (min ms, events per run).
+fn fleet4096_cell() -> (f64, u64) {
     let until = Fidelity::Smoke.fleet_scale_duration();
-    let was = host_sim::merge_events();
-    host_sim::set_merge_events(merged);
     let before = host_sim::stats::snapshot();
     let secs = min_secs(SAMPLES, || {
         let (s, _, _) = fleet_scale::fleet_scale_scenario(Knob::None, 4096);
         black_box(&s.build_host(until).run(until));
     });
     let after = host_sim::stats::snapshot();
-    host_sim::set_merge_events(was);
     let events_per_run = (after.events_popped - before.events_popped) / SAMPLES as u64;
     (secs * 1e3, events_per_run)
 }
@@ -299,10 +286,7 @@ struct Snapshot {
     fleet_shard4_ms: f64,
     speedup: f64,
     qos_tick_arena_8_ns: f64,
-    qos_tick_map_8_ns: f64,
     qos_tick_arena_1024_ns: f64,
-    qos_tick_map_1024_ns: f64,
-    qos_tick_speedup_1024: f64,
     fleet_scale_cell_ms: f64,
     cells_per_sec: Option<f64>,
 }
@@ -316,10 +300,6 @@ impl Snapshot {
     fn merge_best(self, other: Self) -> Self {
         let fleet_shard1_ms = self.fleet_shard1_ms.min(other.fleet_shard1_ms);
         let fleet_shard4_ms = self.fleet_shard4_ms.min(other.fleet_shard4_ms);
-        let qos_tick_arena_1024_ns = self
-            .qos_tick_arena_1024_ns
-            .min(other.qos_tick_arena_1024_ns);
-        let qos_tick_map_1024_ns = self.qos_tick_map_1024_ns.min(other.qos_tick_map_1024_ns);
         Snapshot {
             host_cores: self.host_cores,
             event_queue_mops: self.event_queue_mops.max(other.event_queue_mops),
@@ -327,10 +307,9 @@ impl Snapshot {
             fleet_shard4_ms,
             speedup: fleet_shard1_ms / fleet_shard4_ms,
             qos_tick_arena_8_ns: self.qos_tick_arena_8_ns.min(other.qos_tick_arena_8_ns),
-            qos_tick_map_8_ns: self.qos_tick_map_8_ns.min(other.qos_tick_map_8_ns),
-            qos_tick_arena_1024_ns,
-            qos_tick_map_1024_ns,
-            qos_tick_speedup_1024: qos_tick_map_1024_ns / qos_tick_arena_1024_ns,
+            qos_tick_arena_1024_ns: self
+                .qos_tick_arena_1024_ns
+                .min(other.qos_tick_arena_1024_ns),
             fleet_scale_cell_ms: self.fleet_scale_cell_ms.min(other.fleet_scale_cell_ms),
             cells_per_sec: match (self.cells_per_sec, other.cells_per_sec) {
                 (Some(a), Some(b)) => Some(a.max(b)),
@@ -349,21 +328,14 @@ impl Snapshot {
             fp1, fp4,
             "sharded fleet report diverged from the sequential report"
         );
-        let qos_arena_8 = qos_tick_ns(&mut IoCostController::new(mapqos::bench_config()), 8);
-        let qos_map_8 = qos_tick_ns(&mut MapIoCost::new(mapqos::bench_config()), 8);
-        let qos_arena_1024 = qos_tick_ns(&mut IoCostController::new(mapqos::bench_config()), 1024);
-        let qos_map_1024 = qos_tick_ns(&mut MapIoCost::new(mapqos::bench_config()), 1024);
         Snapshot {
             host_cores,
             event_queue_mops: mops,
             fleet_shard1_ms: s1 * 1e3,
             fleet_shard4_ms: s4 * 1e3,
             speedup: s1 / s4,
-            qos_tick_arena_8_ns: qos_arena_8,
-            qos_tick_map_8_ns: qos_map_8,
-            qos_tick_arena_1024_ns: qos_arena_1024,
-            qos_tick_map_1024_ns: qos_map_1024,
-            qos_tick_speedup_1024: qos_map_1024 / qos_arena_1024,
+            qos_tick_arena_8_ns: qos_tick_ns(8),
+            qos_tick_arena_1024_ns: qos_tick_ns(1024),
             fleet_scale_cell_ms: fleet_scale_cell_ms(),
             cells_per_sec: cells_per_sec(),
         }
@@ -377,9 +349,7 @@ impl Snapshot {
             "{{\n  \"host_cores\": {},\n  \"event_queue_mops\": {:.2},\n  \
              \"fleet_shard1_ms\": {:.2},\n  \"fleet_shard4_ms\": {:.2},\n  \
              \"fleet_speedup_4shards\": {:.3},\n  \
-             \"qos_tick_arena_8_ns\": {:.1},\n  \"qos_tick_map_8_ns\": {:.1},\n  \
-             \"qos_tick_arena_1024_ns\": {:.1},\n  \"qos_tick_map_1024_ns\": {:.1},\n  \
-             \"qos_tick_speedup_1024\": {:.2},\n  \
+             \"qos_tick_arena_8_ns\": {:.1},\n  \"qos_tick_arena_1024_ns\": {:.1},\n  \
              \"fleet_scale_cell_ms\": {:.2},\n  \"fleet_scale_cells_per_sec\": {:.2},\n  \
              \"cells_per_sec\": {cells}\n}}\n",
             self.host_cores,
@@ -388,10 +358,7 @@ impl Snapshot {
             self.fleet_shard4_ms,
             self.speedup,
             self.qos_tick_arena_8_ns,
-            self.qos_tick_map_8_ns,
             self.qos_tick_arena_1024_ns,
-            self.qos_tick_map_1024_ns,
-            self.qos_tick_speedup_1024,
             self.fleet_scale_cell_ms,
             1e3 / self.fleet_scale_cell_ms,
         )
@@ -451,25 +418,6 @@ fn check(current: Snapshot, baseline: &str) -> Result<(), String> {
             current.speedup, current.host_cores
         ));
     }
-    // The fleet-scale fast-path gates: the arena controller's period
-    // work must scale with active tenants, not total tenants (≥ 5× over
-    // the map baseline at 1024 with ~10 % active), without regressing
-    // the small-fleet case the paper actually measures.
-    if current.qos_tick_speedup_1024 < QOS_SPEEDUP_FLOOR {
-        failures.push(format!(
-            "io.cost tick at 1024 tenants: arena is only {:.2}x faster than the map \
-             baseline ({:.0} ns vs {:.0} ns; floor {QOS_SPEEDUP_FLOOR}x)",
-            current.qos_tick_speedup_1024,
-            current.qos_tick_arena_1024_ns,
-            current.qos_tick_map_1024_ns,
-        ));
-    }
-    if current.qos_tick_arena_8_ns > current.qos_tick_map_8_ns * (1.0 + TOLERANCE) {
-        failures.push(format!(
-            "io.cost tick at 8 tenants regressed vs the map baseline: {:.1} ns vs {:.1} ns",
-            current.qos_tick_arena_8_ns, current.qos_tick_map_8_ns
-        ));
-    }
     if failures.is_empty() {
         Ok(())
     } else {
@@ -481,8 +429,6 @@ fn check(current: Snapshot, baseline: &str) -> Result<(), String> {
 #[derive(Debug, Clone, Copy)]
 struct Pr9Snapshot {
     fleet4096_cell_ms: f64,
-    fleet4096_legacy_cell_ms: f64,
-    engine_speedup_4096: f64,
     speedup_vs_pr8_4096: f64,
     engine_events_per_sec: f64,
     fleet65536_cell_ms: f64,
@@ -493,15 +439,12 @@ struct Pr9Snapshot {
 
 impl Pr9Snapshot {
     fn measure() -> Self {
-        let (merged_ms, events) = fleet4096_cell(true);
-        let (legacy_ms, _) = fleet4096_cell(false);
+        let (cell_ms, events) = fleet4096_cell();
         let scale_ms = fleet65536_cell_ms();
         Pr9Snapshot {
-            fleet4096_cell_ms: merged_ms,
-            fleet4096_legacy_cell_ms: legacy_ms,
-            engine_speedup_4096: legacy_ms / merged_ms,
-            speedup_vs_pr8_4096: PR8_FLEET4096_CELL_MS / merged_ms,
-            engine_events_per_sec: events as f64 / (merged_ms / 1e3),
+            fleet4096_cell_ms: cell_ms,
+            speedup_vs_pr8_4096: PR8_FLEET4096_CELL_MS / cell_ms,
+            engine_events_per_sec: events as f64 / (cell_ms / 1e3),
             fleet65536_cell_ms: scale_ms,
             speedup_vs_pr8_65536: PR8_FLEET65536_CELL_MS / scale_ms,
             fig4_cells_ms: experiment_cells_ms("fig4"),
@@ -513,9 +456,6 @@ impl Pr9Snapshot {
     /// ratios recomputed) — same estimator as [`Snapshot::merge_best`].
     fn merge_best(self, other: Self) -> Self {
         let fleet4096_cell_ms = self.fleet4096_cell_ms.min(other.fleet4096_cell_ms);
-        let fleet4096_legacy_cell_ms = self
-            .fleet4096_legacy_cell_ms
-            .min(other.fleet4096_legacy_cell_ms);
         let fleet65536_cell_ms = self.fleet65536_cell_ms.min(other.fleet65536_cell_ms);
         let min_opt = |a: Option<f64>, b: Option<f64>| match (a, b) {
             (Some(a), Some(b)) => Some(a.min(b)),
@@ -523,8 +463,6 @@ impl Pr9Snapshot {
         };
         Pr9Snapshot {
             fleet4096_cell_ms,
-            fleet4096_legacy_cell_ms,
-            engine_speedup_4096: fleet4096_legacy_cell_ms / fleet4096_cell_ms,
             speedup_vs_pr8_4096: PR8_FLEET4096_CELL_MS / fleet4096_cell_ms,
             engine_events_per_sec: self.engine_events_per_sec.max(other.engine_events_per_sec),
             fleet65536_cell_ms,
@@ -538,8 +476,6 @@ impl Pr9Snapshot {
         let opt = |v: Option<f64>| v.map_or("null".to_owned(), |v| format!("{v:.2}"));
         format!(
             "{{\n  \"fleet4096_cell_ms\": {:.2},\n  \
-             \"fleet4096_legacy_cell_ms\": {:.2},\n  \
-             \"engine_speedup_4096\": {:.3},\n  \
              \"pr8_fleet4096_cell_ms\": {PR8_FLEET4096_CELL_MS:.2},\n  \
              \"speedup_vs_pr8_4096\": {:.3},\n  \
              \"engine_events_per_sec\": {:.0},\n  \
@@ -549,8 +485,6 @@ impl Pr9Snapshot {
              \"fleet65536_budget_ms\": {FLEET64K_BUDGET_MS:.0},\n  \
              \"fig4_cells_ms\": {},\n  \"q10_cells_ms\": {}\n}}\n",
             self.fleet4096_cell_ms,
-            self.fleet4096_legacy_cell_ms,
-            self.engine_speedup_4096,
             self.speedup_vs_pr8_4096,
             self.engine_events_per_sec,
             self.fleet65536_cell_ms,
@@ -577,14 +511,6 @@ fn check_pr9(current: Pr9Snapshot, baseline: &str) -> Result<(), String> {
                 ));
             }
         }
-    }
-    // The merged engine must not lose to the in-binary legacy engine.
-    if current.engine_speedup_4096 < ENGINE_SPEEDUP_FLOOR {
-        failures.push(format!(
-            "merged engine is slower than the queue-only engine at 4096 tenants: \
-             {:.2} ms vs {:.2} ms (floor {ENGINE_SPEEDUP_FLOOR}x)",
-            current.fleet4096_cell_ms, current.fleet4096_legacy_cell_ms
-        ));
     }
     // The 4096-tenant cell must not be slower than the PR 8 seed.
     if current.fleet4096_cell_ms > PR8_FLEET4096_CELL_MS * (1.0 + TOLERANCE) {
@@ -630,21 +556,16 @@ fn main() -> ExitCode {
             .map_or("n/a".to_owned(), |v| format!("{v:.2}")),
     );
     println!(
-        "perfsnap: io.cost tick arena/map {:.1}/{:.1} ns @8, {:.1}/{:.1} ns @1024 ({:.2}x), fleet_scale cell {:.1} ms ({:.2} cells/s)",
+        "perfsnap: io.cost tick {:.1} ns @8, {:.1} ns @1024, fleet_scale cell {:.1} ms ({:.2} cells/s)",
         current.qos_tick_arena_8_ns,
-        current.qos_tick_map_8_ns,
         current.qos_tick_arena_1024_ns,
-        current.qos_tick_map_1024_ns,
-        current.qos_tick_speedup_1024,
         current.fleet_scale_cell_ms,
         1e3 / current.fleet_scale_cell_ms,
     );
     let current9 = Pr9Snapshot::measure();
     println!(
-        "perfsnap: fleet4096 cell {:.1} ms merged / {:.1} ms legacy ({:.2}x, {:.2} Mev/s), fleet65536 cell {:.0} ms ({:.2}x vs PR 8 seed)",
+        "perfsnap: fleet4096 cell {:.1} ms ({:.2} Mev/s), fleet65536 cell {:.0} ms ({:.2}x vs PR 8 seed)",
         current9.fleet4096_cell_ms,
-        current9.fleet4096_legacy_cell_ms,
-        current9.engine_speedup_4096,
         current9.engine_events_per_sec / 1e6,
         current9.fleet65536_cell_ms,
         current9.speedup_vs_pr8_65536,

@@ -17,7 +17,7 @@
 use std::io::Write as _;
 use std::time::Duration;
 
-pub mod mapqos;
+pub mod qos_fixture;
 
 /// The directory experiment CSVs are written into.
 pub const OUTPUT_DIR: &str = "target/isol-bench";
@@ -273,8 +273,7 @@ pub struct ProfileEntry {
 pub struct Profiles {
     entries: Vec<ProfileEntry>,
     /// Run-level wake-tournament occupancy `(active high-water mark,
-    /// provisioned leaves)` from the merged engine, if any merged run
-    /// executed.
+    /// provisioned leaves)`, once any run has finished.
     tourney: Option<(u64, u64)>,
 }
 
@@ -353,9 +352,9 @@ impl Profiles {
         )
     }
 
-    /// Records the run-level wake-tournament occupancy (merged engine
-    /// only): the active-leaf high-water mark and the provisioned leaf
-    /// count. `1 - hwm/leaves` is the suppressed-tenant ratio.
+    /// Records the run-level wake-tournament occupancy: the active-leaf
+    /// high-water mark and the provisioned leaf count. `1 - hwm/leaves`
+    /// is the suppressed-tenant ratio.
     pub fn set_tourney(&mut self, active_hwm: u64, leaves: u64) {
         if leaves > 0 {
             self.tourney = Some((active_hwm, leaves));
@@ -802,7 +801,7 @@ mod tests {
             "\"tourney\": {\"active_hwm\": 214, \"leaves\": 4096, \"suppressed_ratio\": 0.9478}"
         ));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
-        // Zero leaves never records (legacy-only runs).
+        // Zero leaves never records (no run finished).
         let mut q = Profiles::new();
         q.set_tourney(0, 0);
         assert!(!q.to_json().contains("tourney"));

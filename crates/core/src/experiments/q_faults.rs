@@ -13,8 +13,8 @@
 //!
 //! Determinism: the fault stream is a pure function of the scenario
 //! seed and device index, so the whole grid is byte-identical across
-//! `--jobs` values and event-queue backends (covered by the determinism
-//! regression tests and a committed golden CSV).
+//! `--jobs` values (covered by the determinism regression tests and a
+//! committed golden CSV).
 
 use std::io;
 

@@ -14,8 +14,7 @@
 //!   requires a successful device attempt, `fail` a failed one.
 //! * **fifo-within-class** — on `none` and `mq-deadline` schedulers,
 //!   dispatch order within a priority class replays the enqueue order
-//!   exactly (FIFO tie-break; BFQ and Kyber reorder by design and are
-//!   skipped).
+//!   exactly (FIFO tie-break; BFQ reorders by design and is skipped).
 //! * **iomax-budget** — replaying every `io.max` token-bucket against
 //!   the limits recorded in the trace's config events, emission never
 //!   exceeds the configured budget over any window (bucket starts at
@@ -437,7 +436,7 @@ fn check_request_spans(trace: &Trace, sink: &mut Sink) {
 
 /// Scheduler kinds whose dispatch order is FIFO within a priority class
 /// (`none` is a single global FIFO; `mq-deadline` keeps one FIFO per
-/// class). BFQ (2) and Kyber (3) legitimately reorder.
+/// class). BFQ (2) legitimately reorders; index 3 is reserved.
 fn fifo_class_key(sched_kind: u64, e: &TraceEvent) -> Option<u64> {
     match sched_kind {
         0 => Some(0),
@@ -599,7 +598,7 @@ fn check_work_conservation(trace: &Trace, sink: &mut Sink) {
         }
         // Work conservation only holds for schedulers that always hand
         // out work when asked (none, mq-deadline); BFQ idles on purpose
-        // (anticipation) and Kyber throttles by depth.
+        // (anticipation).
         if !matches!(sched_kind.get(&e.dev), Some(0 | 1)) {
             continue;
         }

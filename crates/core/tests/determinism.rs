@@ -4,9 +4,6 @@
 //!   must produce byte-identical CSV output (any jobs-dependent
 //!   divergence — result reordering, per-worker RNG state, racy
 //!   accumulation — fails here),
-//! * the timing-wheel and binary-heap event-queue backends must produce
-//!   byte-identical output (the wheel must preserve exact FIFO
-//!   tie-breaking at equal instants),
 //! * output must match the committed golden CSVs, pinning today's
 //!   tables against *any* future engine change (the goldens were
 //!   captured before the wheel/slab/enum-dispatch rework and survived
@@ -19,10 +16,10 @@ use std::sync::Mutex;
 
 use isol_bench::experiments::{fig4, fleet, q_faults};
 use isol_bench::{cache, runner, Fidelity, Knob, OutputSink};
-use simcore::{set_default_backend, QueueBackend, SimTime};
+use simcore::SimTime;
 
-/// The worker count and the queue backend are process-global, so tests
-/// that set either must not interleave.
+/// The worker count is process-global, so tests that set it must not
+/// interleave.
 static GLOBAL_CONFIG: Mutex<()> = Mutex::new(());
 
 /// Runs one experiment's smoke grid with `jobs` workers, returning
@@ -83,17 +80,6 @@ fn fig4_grid_is_byte_identical_across_worker_counts() {
     let parallel = fig4_csvs(4, "par");
     runner::set_jobs(0); // restore auto for any other test in this binary
     assert_same_csvs(&sequential, &parallel, "jobs=1 and jobs=4");
-}
-
-#[test]
-fn fig4_grid_is_byte_identical_across_queue_backends() {
-    let _guard = GLOBAL_CONFIG.lock().unwrap_or_else(|e| e.into_inner());
-    set_default_backend(QueueBackend::Heap);
-    let heap = fig4_csvs(2, "heap");
-    set_default_backend(QueueBackend::Wheel);
-    let wheel = fig4_csvs(2, "wheel");
-    runner::set_jobs(0);
-    assert_same_csvs(&heap, &wheel, "heap and wheel queue backends");
 }
 
 #[test]
@@ -159,17 +145,6 @@ fn q_faults_grid_is_byte_identical_across_worker_counts() {
     let parallel = q_faults_csvs(4, "par");
     runner::set_jobs(0);
     assert_same_csvs(&sequential, &parallel, "jobs=1 and jobs=4 (faulted)");
-}
-
-#[test]
-fn q_faults_grid_is_byte_identical_across_queue_backends() {
-    let _guard = GLOBAL_CONFIG.lock().unwrap_or_else(|e| e.into_inner());
-    set_default_backend(QueueBackend::Heap);
-    let heap = q_faults_csvs(2, "heap");
-    set_default_backend(QueueBackend::Wheel);
-    let wheel = q_faults_csvs(2, "wheel");
-    runner::set_jobs(0);
-    assert_same_csvs(&heap, &wheel, "heap and wheel queue backends (faulted)");
 }
 
 #[test]

@@ -4,11 +4,9 @@
 //! * a traced experiment grid must emit identical trace files on one
 //!   worker and on several (per-cell recorders are thread-local; any
 //!   cross-worker leakage or reordering fails here),
-//! * the timing-wheel and binary-heap event-queue backends must record
-//!   identical traces (the trace observes every FIFO tie-break the CSVs
-//!   can only aggregate away),
 //! * a small committed golden trace pins today's exact event stream —
-//!   schema, payloads, ordering — against any future engine change.
+//!   schema, payloads, ordering, every FIFO tie-break the CSVs can only
+//!   aggregate away — against any future engine change.
 //!   Regenerate deliberately with
 //!   `UPDATE_TRACE_GOLDEN=1 cargo test -p isol-bench --test trace_determinism`.
 
@@ -19,11 +17,11 @@ use std::sync::Mutex;
 
 use isol_bench::experiments::{fig4, fleet};
 use isol_bench::{runner, traceck, tracing, Fidelity, Knob, OutputSink, Scenario};
-use simcore::{set_default_backend, QueueBackend, SimTime};
+use simcore::SimTime;
 use workload::JobSpec;
 
-/// Worker count, queue backend, and trace capture are process-global,
-/// so these tests must not interleave.
+/// Worker count and trace capture are process-global, so these tests
+/// must not interleave.
 static GLOBAL_CONFIG: Mutex<()> = Mutex::new(());
 
 /// Runs the fig4 smoke grid with `jobs` workers and tracing on,
@@ -70,7 +68,7 @@ fn traced_fig4_grid_is_byte_identical_across_worker_counts() {
     }
 }
 
-/// The fixed cell for backend comparison and the golden: the paper's
+/// The fixed cell for the golden: the paper's
 /// two-tenant prioritization shape on mq-deadline, short enough that
 /// the golden stays a small fixture yet touches submit, QoS, scheduler,
 /// device, and completion events.
@@ -85,30 +83,17 @@ fn golden_scenario() -> Scenario {
     s
 }
 
-fn golden_jsonl(backend: QueueBackend) -> String {
-    set_default_backend(backend);
+fn golden_jsonl() -> String {
     let (_, trace) = golden_scenario().run_traced(SimTime::from_micros(300), 1 << 16);
-    set_default_backend(QueueBackend::Wheel);
     assert!(trace.is_lossless(), "golden cell overflowed its ring");
     assert!(trace.is_complete(), "golden cell trace missing run_end");
     trace.to_jsonl()
 }
 
 #[test]
-fn trace_is_byte_identical_across_queue_backends() {
-    let _guard = GLOBAL_CONFIG.lock().unwrap_or_else(|e| e.into_inner());
-    let wheel = golden_jsonl(QueueBackend::Wheel);
-    let heap = golden_jsonl(QueueBackend::Heap);
-    assert_eq!(
-        wheel, heap,
-        "trace bytes differ between wheel and heap queue backends"
-    );
-}
-
-#[test]
 fn trace_matches_committed_golden() {
     let _guard = GLOBAL_CONFIG.lock().unwrap_or_else(|e| e.into_inner());
-    let current = golden_jsonl(QueueBackend::Wheel);
+    let current = golden_jsonl();
     let golden_path =
         PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/trace_mq_prio.trace.jsonl");
     if std::env::var_os("UPDATE_TRACE_GOLDEN").is_some() {
@@ -165,9 +150,9 @@ fn golden_trace_is_byte_stable_under_a_shards_setting() {
     // leave its bytes untouched (the sharded path falls back to the
     // sequential engine).
     let _guard = GLOBAL_CONFIG.lock().unwrap_or_else(|e| e.into_inner());
-    let reference = golden_jsonl(QueueBackend::Wheel);
+    let reference = golden_jsonl();
     runner::set_shards(4);
-    let sharded = golden_jsonl(QueueBackend::Wheel);
+    let sharded = golden_jsonl();
     runner::set_shards(0);
     assert_eq!(
         reference, sharded,

@@ -15,8 +15,7 @@ pub(crate) struct AppRuntime {
     pub devices: Vec<DeviceId>,
     pub next_dev: usize,
     pub stream: AddressStream,
-    /// Pregenerated arrival chunk the merged engine's issue path draws
-    /// from (unused on the legacy per-call path).
+    /// Pregenerated arrival chunk the issue path draws from.
     pub batch: ArrivalBatch,
     pub rate: Option<TokenBucket>,
     pub inflight: u32,
@@ -34,10 +33,7 @@ pub(crate) struct AppRuntime {
     /// Multiplier on scheduler-lock contention cost, fixed per app
     /// (models NUMA/lock-position asymmetry under CPU saturation).
     pub lock_luck: f64,
-    /// Guards against duplicate AppWake events at the same instant
-    /// (legacy engine only; the merged engine dedups against `wakes`).
-    pub wake_scheduled_at: Option<SimTime>,
-    /// Outstanding wakes, sorted ascending by `(time, seq)`: the merged
+    /// Outstanding wakes, sorted ascending by `(time, seq)`: the
     /// engine's exact pending set for this app. Exact dedup only admits
     /// a wake strictly earlier than everything pending, so inserts
     /// always land at the front and any pop removes the front — the
@@ -78,7 +74,7 @@ pub(crate) struct ClosedLoopState {
     pub measured_bytes: u64,
 }
 
-/// One pending merged-engine wake: its global `(time, seq)` key plus
+/// One pending app wake: its global `(time, seq)` key plus
 /// which container holds it (see [`WakeRoute`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Wake {

@@ -71,7 +71,6 @@ impl DeviceHost {
             SchedKind::None => 0.0,
             SchedKind::MqDeadline => 0.058,
             SchedKind::Bfq => 0.050,
-            SchedKind::Kyber => 0.020,
         }
     }
 }

@@ -3,7 +3,7 @@
 use blkio::{AppId, CoreId, DeviceId, IoRequest, ReqId};
 use cgroup_sim::{DevNode, Hierarchy};
 use ioqos::{IoCostConfig, IoCostController, IoLatencyController, IoMaxThrottler, QosChain};
-use iosched_sim::{Bfq, Kyber, MqDeadline, Noop, SchedKind, Scheduler};
+use iosched_sim::{Bfq, MqDeadline, Noop, SchedKind, Scheduler};
 use iostats::{BandwidthSeries, LatencyHistogram};
 use nvme_sim::{CompletionStatus, FaultPlan, NvmeDevice, ServiceSlot, StartedCmd};
 use simcore::trace::{self, TraceEvent, TraceKind};
@@ -20,28 +20,6 @@ use crate::setup::{AppSetup, DeviceSetup, HostConfig};
 use crate::stats::{SS_ARRIVAL, SS_DEVICE, SS_QOS, SS_SCHED, SS_STATS};
 use crate::tourney::Tourney;
 
-/// Whether new engines merge their bounded event classes through
-/// tournament trees (the O(active) fast path) instead of routing every
-/// event through the timer wheel. On by default; the legacy path is
-/// kept for A/B benchmarking (`perfsnap` gates the speedup against it)
-/// and as a bisection aid.
-static MERGE_EVENTS: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(true);
-
-/// Selects the event plumbing for engines built *after* this call:
-/// `true` (the default) merges app wakes, CPU completions, and dispatch
-/// completions through per-source tournament frontiers; `false` routes
-/// every event through the event queue (the pre-merge engine). Both
-/// produce bit-identical results; see DESIGN.md §17.
-pub fn set_merge_events(on: bool) {
-    MERGE_EVENTS.store(on, std::sync::atomic::Ordering::Relaxed);
-}
-
-/// The current process-wide default for [`set_merge_events`].
-#[must_use]
-pub fn merge_events() -> bool {
-    MERGE_EVENTS.load(std::sync::atomic::Ordering::Relaxed)
-}
-
 /// Folds a `--profile` span started at `t0` into subsystem bucket
 /// `idx` (no-op when profiling is off and `t0` is `None`).
 #[inline]
@@ -56,7 +34,7 @@ fn prof_add(t0: Option<std::time::Instant>, idx: usize) {
 /// contention applies).
 const DEEP_QD: u32 = 64;
 
-/// Horizon splitting near from far future wakes on the merged path.
+/// Horizon splitting near from far future app wakes.
 /// Wakes due within it (rate-limiter waits, imminent phase edges) arm
 /// the app's tournament leaf; wakes beyond it (a sleeping tenant's next
 /// burst) go to the timer wheel, whose cost is O(1) amortized per far
@@ -71,13 +49,13 @@ const NEAR_WAKE: SimDuration = SimDuration::from_nanos(1 << 18);
 /// ~7.6 µs at QD 1 — the paper's Fig. 3d / Fig. 4 CPU shapes).
 const AMORT_FLOOR: f64 = 0.5;
 
-/// Stable wire index of a scheduler kind in `CfgSched` trace events.
+/// Stable wire index of a scheduler kind in `CfgSched` trace events
+/// (index 3 is reserved: it named a scheduler model since removed).
 const fn sched_kind_index(kind: SchedKind) -> u64 {
     match kind {
         SchedKind::None => 0,
         SchedKind::MqDeadline => 1,
         SchedKind::Bfq => 2,
-        SchedKind::Kyber => 3,
     }
 }
 
@@ -163,9 +141,6 @@ pub struct HostSim {
     /// [`crate::shard`]). `None` outside traced sharded runs; `run`
     /// leaves it untouched, so the sequential path is byte-identical.
     pub(crate) journal: Option<crate::shard::JournalSink>,
-    /// `true` when this engine merges its bounded event classes through
-    /// the tournament trees below (see [`set_merge_events`]).
-    pub(crate) merge: bool,
     /// Merge of per-app *near-term* wake frontiers; see [`NEAR_WAKE`]
     /// for the near/far split. Leaves are dynamic slots handed out by
     /// `wake_leaf` and recycled when an app's last tree wake pops, so
@@ -247,7 +222,6 @@ impl HostSim {
                     SchedKind::None => Noop::new().into(),
                     SchedKind::MqDeadline => MqDeadline::new(setup.mq_deadline).into(),
                     SchedKind::Bfq => Bfq::new(setup.bfq).into(),
-                    SchedKind::Kyber => Kyber::new(setup.kyber).into(),
                 };
                 for &g in &group_ids {
                     sched.set_group_weight(g, hierarchy.bfq_weight(g, node));
@@ -418,7 +392,6 @@ impl HostSim {
                         SchedKind::None => 0.0,
                         SchedKind::MqDeadline => 0.9,
                         SchedKind::Bfq => 0.35,
-                        SchedKind::Kyber => 0.2,
                     })
                     .fold(0.0, f64::max);
                 let mut luck_rng = rng.fork(5000 + i as u64);
@@ -460,7 +433,6 @@ impl HostSim {
                     hist: LatencyHistogram::new(),
                     bw: BandwidthSeries::new(config.bw_window),
                     stage_sums_ns: [0.0; 5],
-                    wake_scheduled_at: None,
                     wakes: Vec::new(),
                     near_wakes: 0,
                     phase_active: false,
@@ -472,17 +444,30 @@ impl HostSim {
             })
             .collect();
 
-        // Pending events are bounded per class: one AppWake per app
-        // (deduped via `wake_scheduled_at`) plus at most one extra
-        // in-flight start-time wake, one CpuDone per core, one
+        Self::assemble(config, apps, cores, devs)
+    }
+
+    /// Wraps built machine slices into an idle engine: empty event
+    /// queue, fresh tournament trees, clock at zero. Shared by
+    /// [`HostSim::build`] and the shard split, which re-wraps each
+    /// component's slices.
+    pub(crate) fn assemble(
+        config: HostConfig,
+        apps: Vec<AppRuntime>,
+        cores: Vec<Core>,
+        devs: Vec<DeviceHost>,
+    ) -> Self {
+        // Pending events are bounded per class: two wakes per app (a
+        // pending wake plus an earlier re-arm), one CpuDone per core, one
         // DeviceDone per in-flight device slot, and at most one each of
         // SchedDispatchDone / QosPump / SchedTimer / IoTimeout /
-        // RetryTimer / DeviceReset / DeviceRestart per device.
-        // Pre-sizing the heap to that bound keeps the event loop
-        // allocation-free in the fault-free case (aborts and resets can
-        // leave extra stale DeviceDone events; the queue then grows).
+        // RetryTimer / DeviceReset / DeviceRestart per device. CpuDone
+        // and SchedDispatchDone live in the tournament trees, and only
+        // far wakes reach the queue, so this over-provisions it;
+        // pre-sizing to it keeps the event loop allocation-free in the
+        // fault-free case (aborts and resets can leave extra stale
+        // DeviceDone events; the queue then grows).
         let event_capacity = Self::event_capacity(&apps, &cores, &devs);
-
         // The wake tree starts small and grows with the active set; the
         // per-core / per-device trees are provisioned in full (their
         // source counts are machine-sized, not fleet-sized).
@@ -501,7 +486,6 @@ impl HostSim {
             qos_scratch: Vec::new(),
             start_scratch: Vec::new(),
             journal: None,
-            merge: merge_events(),
             wake_tree,
             app_leaf,
             leaf_app: Vec::new(),
@@ -518,7 +502,7 @@ impl HostSim {
     }
 
     /// Sentinel in `app_leaf` for "no tree leaf held".
-    pub(crate) const LEAF_NONE: u32 = u32::MAX;
+    const LEAF_NONE: u32 = u32::MAX;
 
     /// The app's `wake_tree` leaf slot, allocating (and growing the
     /// tree if every slot is taken) on first use.
@@ -544,12 +528,8 @@ impl HostSim {
     }
 
     /// Pre-sized event-queue capacity for the given machine slices (see
-    /// the bound derivation at the `build` call site).
-    pub(crate) fn event_capacity(
-        apps: &[AppRuntime],
-        cores: &[Core],
-        devs: &[DeviceHost],
-    ) -> usize {
+    /// the bound derivation in [`HostSim::assemble`]).
+    fn event_capacity(apps: &[AppRuntime], cores: &[Core], devs: &[DeviceHost]) -> usize {
         apps.len() * 2
             + cores.len()
             + devs
@@ -582,7 +562,7 @@ impl HostSim {
         }
     }
 
-    /// Merged-path twin of [`Self::sched_event`] for single-slot
+    /// Tournament twin of [`Self::sched_event`] for single-slot
     /// sources (per-core `CpuDone`, per-device `SchedDispatchDone`):
     /// journals the insert, draws the shared tie-break seq, and arms the
     /// source's tournament leaf. The leaf must be parked (the source
@@ -604,14 +584,15 @@ impl HostSim {
         *tree_pending += 1;
     }
 
-    /// Merged-path wake insert. The caller has already applied exact
+    /// App wake insert. The caller has already applied exact
     /// dedup (`at` is strictly earlier than every wake pending for this
     /// app), so the new wake is the app's front; it is routed by
     /// distance — same-instant to the global FIFO, near to the app's
     /// tournament leaf, far to the timer wheel — and pushed onto the
-    /// app's pending stack. Journal/seq side effects match a legacy
-    /// queue insert one for one, so replay order is preserved.
-    fn insert_wake_merged(&mut self, a: AppId, at: SimTime) {
+    /// app's pending stack. Each route journals the insert and draws
+    /// one seq from the queue's counter, exactly like a queue insert,
+    /// so sharded replay sees the same global order.
+    fn insert_wake(&mut self, a: AppId, at: SimTime) {
         debug_assert!(at >= self.now, "wakes cannot target the past");
         if let Some(j) = self.journal.as_mut() {
             j.child(at);
@@ -705,9 +686,7 @@ impl HostSim {
         // `crate::stats`).
         let (popped, peak) = self.run_loop(until);
         crate::stats::record_run(popped, peak);
-        if self.merge {
-            crate::stats::record_tourney(self.active_hwm as u64, self.apps.len() as u64);
-        }
+        crate::stats::record_tourney(self.active_hwm as u64, self.apps.len() as u64);
         let (t, r, f) = self.fault_totals();
         crate::stats::record_faults(t, r, f);
         self.now = until;
@@ -725,17 +704,7 @@ impl HostSim {
                 j.mark_app(i);
             }
             let at = self.apps[i].spec.start_at();
-            if self.merge {
-                self.insert_wake_merged(AppId(i), at);
-            } else {
-                Self::sched_event(
-                    &mut self.journal,
-                    &mut self.queue,
-                    &mut self.qfront,
-                    at,
-                    Event::AppWake(AppId(i)),
-                );
-            }
+            self.insert_wake(AppId(i), at);
         }
         for d in 0..self.devs.len() {
             if let Some(j) = self.journal.as_mut() {
@@ -771,7 +740,7 @@ impl HostSim {
     /// cache would replay out of order — the min-update keeps it
     /// exact).
     #[inline]
-    fn pop_merged(&mut self) -> Option<(SimTime, Event)> {
+    fn pop_next(&mut self) -> Option<(SimTime, Event)> {
         let qkey = match self.qfront {
             Some(k) => k,
             None => {
@@ -835,15 +804,7 @@ impl HostSim {
         self.profile = crate::stats::subsystem_timing_enabled();
         let mut popped = 0u64;
         let mut peak = (self.queue.len() + self.tree_pending) as u64;
-        loop {
-            let next = if self.merge {
-                self.pop_merged()
-            } else {
-                self.queue.pop()
-            };
-            let Some((t, ev)) = next else {
-                break;
-            };
+        while let Some((t, ev)) = self.pop_next() {
             if t > until {
                 break;
             }
@@ -906,31 +867,13 @@ impl HostSim {
     }
 
     fn schedule_wake(&mut self, a: AppId, at: SimTime) {
-        if self.merge {
-            // Exact dedup: the pending stack knows every outstanding
-            // wake, so a wake at or after the app's earliest pending
-            // one is pure noise — by the time it would fire, the
-            // earlier wake has already driven the issue loop at that
-            // instant or later (re-arming any phase-edge follow-up
-            // itself). The legacy path below forgets pending wakes
-            // beyond the earliest and so re-inserts such duplicates;
-            // their pops are no-ops, and suppressing them changes no
-            // I/O-visible behavior (see DESIGN.md §17).
-            if self.apps[a.index()].wakes.first().is_none_or(|w| at < w.at) {
-                self.insert_wake_merged(a, at);
-            }
-        } else {
-            let app = &mut self.apps[a.index()];
-            if app.wake_scheduled_at.is_none_or(|e| at < e) {
-                app.wake_scheduled_at = Some(at);
-                Self::sched_event(
-                    &mut self.journal,
-                    &mut self.queue,
-                    &mut self.qfront,
-                    at,
-                    Event::AppWake(a),
-                );
-            }
+        // Exact dedup: the pending stack knows every outstanding wake,
+        // so a wake at or after the app's earliest pending one is pure
+        // noise — by the time it would fire, the earlier wake has
+        // already driven the issue loop at that instant or later
+        // (re-arming any phase-edge follow-up itself). See DESIGN.md §17.
+        if self.apps[a.index()].wakes.first().is_none_or(|w| at < w.at) {
+            self.insert_wake(a, at);
         }
     }
 
@@ -952,29 +895,17 @@ impl HostSim {
     }
 
     fn on_app_wake(&mut self, a: AppId) {
-        if !self.merge && self.apps[a.index()].wake_scheduled_at == Some(self.now) {
-            self.apps[a.index()].wake_scheduled_at = None;
+        // Phase cache: `is_active`/`next_transition` are constant between
+        // phase edges (the spec's burst/start/stop schedule is a fixed
+        // step function of absolute time), so both spec walks — one of
+        // which allocates — run once per phase instead of once per wake.
+        let app = &mut self.apps[a.index()];
+        if self.now >= app.phase_cached_until {
+            app.phase_active = app.spec.is_active(self.now);
+            app.phase_trans = app.spec.next_transition(self.now);
+            app.phase_cached_until = app.phase_trans.unwrap_or(SimTime::MAX);
         }
-        let (active, trans) = if self.merge {
-            // Phase cache: `is_active`/`next_transition` are constant
-            // between phase edges (the spec's burst/start/stop schedule
-            // is a fixed step function of absolute time), so both spec
-            // walks — one of which allocates — run once per phase
-            // instead of once per wake.
-            let app = &mut self.apps[a.index()];
-            if self.now >= app.phase_cached_until {
-                app.phase_active = app.spec.is_active(self.now);
-                app.phase_trans = app.spec.next_transition(self.now);
-                app.phase_cached_until = app.phase_trans.unwrap_or(SimTime::MAX);
-            }
-            (app.phase_active, app.phase_trans)
-        } else {
-            let app = &self.apps[a.index()];
-            (
-                app.spec.is_active(self.now),
-                app.spec.next_transition(self.now),
-            )
-        };
+        let (active, trans) = (app.phase_active, app.phase_trans);
         if let Some(t) = trans {
             self.schedule_wake(a, t);
         }
@@ -1008,15 +939,11 @@ impl HostSim {
             }
             let dev = app.pick_device();
             let t0 = self.profile.then(std::time::Instant::now);
-            let (op, pattern, offset) = if self.merge {
-                // Same tuple sequence as `next_io()` (proven by the
-                // batch_equivalence proptests), drawn from a
-                // pregenerated chunk. The stream RNG is private to this
-                // app, so drawing ahead is unobservable.
-                app.batch.next(&mut app.stream)
-            } else {
-                app.stream.next_io()
-            };
+            // Same tuple sequence as `next_io()` (proven by the
+            // batch_equivalence proptests), drawn from a pregenerated
+            // chunk. The stream RNG is private to this app, so drawing
+            // ahead is unobservable.
+            let (op, pattern, offset) = app.batch.next(&mut app.stream);
             prof_add(t0, SS_ARRIVAL);
             let id = self.next_req_id;
             self.next_req_id += 1;
@@ -1129,27 +1056,17 @@ impl HostSim {
 
     fn push_cpu_work(&mut self, core: CoreId, work: Work, dur: SimDuration) {
         if let Some(done_at) = self.cores[core.index()].push(work, dur, self.now) {
-            if self.merge {
-                // At most one outstanding CpuDone per core (the FIFO
-                // only reports a finish time when it goes busy), so the
-                // core's tournament leaf is a one-slot frontier.
-                Self::slot_event(
-                    &mut self.journal,
-                    &mut self.queue,
-                    &mut self.cpu_tree,
-                    &mut self.tree_pending,
-                    core.index(),
-                    done_at,
-                );
-            } else {
-                Self::sched_event(
-                    &mut self.journal,
-                    &mut self.queue,
-                    &mut self.qfront,
-                    done_at,
-                    Event::CpuDone(core),
-                );
-            }
+            // At most one outstanding CpuDone per core (the FIFO only
+            // reports a finish time when it goes busy), so the core's
+            // tournament leaf is a one-slot frontier.
+            Self::slot_event(
+                &mut self.journal,
+                &mut self.queue,
+                &mut self.cpu_tree,
+                &mut self.tree_pending,
+                core.index(),
+                done_at,
+            );
         }
     }
 
@@ -1157,24 +1074,14 @@ impl HostSim {
         let measured = self.measured();
         let (work, next) = self.cores[c.index()].finish_current(self.now, measured);
         if let Some(t) = next {
-            if self.merge {
-                Self::slot_event(
-                    &mut self.journal,
-                    &mut self.queue,
-                    &mut self.cpu_tree,
-                    &mut self.tree_pending,
-                    c.index(),
-                    t,
-                );
-            } else {
-                Self::sched_event(
-                    &mut self.journal,
-                    &mut self.queue,
-                    &mut self.qfront,
-                    t,
-                    Event::CpuDone(c),
-                );
-            }
+            Self::slot_event(
+                &mut self.journal,
+                &mut self.queue,
+                &mut self.cpu_tree,
+                &mut self.tree_pending,
+                c.index(),
+                t,
+            );
         }
         match work {
             Work::Submit(mut req) => {
@@ -1290,27 +1197,17 @@ impl HostSim {
             if let Some(req) = dh.sched.dispatch(now) {
                 let cost = dh.sched.dispatch_overhead();
                 dh.dispatching = Some(req);
-                if self.merge {
-                    // The dispatch path is serialized per device
-                    // (`dispatching` is a one-slot latch), so like CPU
-                    // cores it gets a one-slot tournament leaf.
-                    Self::slot_event(
-                        &mut self.journal,
-                        &mut self.queue,
-                        &mut self.disp_tree,
-                        &mut self.tree_pending,
-                        dev.index(),
-                        now + cost,
-                    );
-                } else {
-                    Self::sched_event(
-                        &mut self.journal,
-                        &mut self.queue,
-                        &mut self.qfront,
-                        now + cost,
-                        Event::SchedDispatchDone(dev),
-                    );
-                }
+                // The dispatch path is serialized per device
+                // (`dispatching` is a one-slot latch), so like CPU cores
+                // it gets a one-slot tournament leaf.
+                Self::slot_event(
+                    &mut self.journal,
+                    &mut self.queue,
+                    &mut self.disp_tree,
+                    &mut self.tree_pending,
+                    dev.index(),
+                    now + cost,
+                );
             }
         }
         prof_add(t0, SS_SCHED);
@@ -1374,7 +1271,6 @@ impl HostSim {
             CompletionStatus::Success => {
                 req.device_done_at = now;
                 dh.qos.on_device_complete(&req, now);
-                dh.sched.on_complete(&req, now);
                 let app = req.app;
                 let engine = self.apps[app.index()].spec.engine();
                 let qd = self.apps[app.index()].spec.iodepth();
@@ -1383,11 +1279,9 @@ impl HostSim {
                 self.push_cpu_work(core, Work::Complete(req), dur);
             }
             CompletionStatus::MediaError => {
-                // The scheduler saw a device attempt finish (feedback,
-                // e.g. Kyber's latency tracking); QoS completion
-                // accounting waits for the request's *final* outcome so
-                // per-group inflight stays balanced across retries.
-                dh.sched.on_complete(&req, now);
+                // QoS completion accounting waits for the request's
+                // *final* outcome so per-group inflight stays balanced
+                // across retries.
                 self.handle_attempt_failure(dev, req);
             }
         }
@@ -1477,7 +1371,6 @@ impl HostSim {
                         u64::from(req.op.is_write()),
                     )
                 });
-                dh.sched.on_complete(&req, now);
                 self.handle_attempt_failure(dev, req);
             }
         }
@@ -2099,7 +1992,7 @@ mod tests {
     /// once: bursty, rate-capped, deep-queue, zipf, multi-device apps on
     /// few cores, a BFQ device, an io.max throttle, and (optionally)
     /// injected faults with the timeout/reset recovery paths.
-    fn mixed_scenario(merge: bool, faults: bool) -> RunReport {
+    fn mixed_scenario(faults: bool) -> RunReport {
         let stop = SimTime::from_millis(120);
         let mut h = simple_hierarchy(6);
         h.write(
@@ -2160,21 +2053,29 @@ mod tests {
             io_timeout: faults.then(|| SimDuration::from_millis(3)),
             ..HostConfig::with_cores(2)
         };
-        let mut sim = HostSim::build(cfg, h, apps, vec![d0, d1]);
-        sim.merge = merge;
-        sim.run(stop)
+        HostSim::build(cfg, h, apps, vec![d0, d1]).run(stop)
     }
 
-    /// The tentpole's byte-identity contract: the tournament-merged
-    /// engine replays the exact `(time, seq)` pop order of the legacy
-    /// queue-only engine, so every observable output — histograms,
-    /// series, stage sums, fault counters — is bit-identical.
+    /// XXH64 (seed 0) of a report's `Debug` string: the fixed-input
+    /// fingerprint the frozen-reference tests below compare.
+    fn report_digest(r: &RunReport) -> u64 {
+        simcore::xxhash64(format!("{r:?}").as_bytes(), 0)
+    }
+
+    /// Byte-identity against a frozen reference: the digests were taken
+    /// from the retired queue-only engine (every event, wakes and CPU
+    /// and dispatch completions included, routed through the timer
+    /// wheel) on exactly these inputs. The tournament-merged engine
+    /// replays its `(time, seq)` pop order, so every observable output —
+    /// histograms, series, stage sums, fault counters — must match.
     #[test]
-    fn merged_engine_matches_legacy_bit_for_bit() {
-        for faults in [false, true] {
-            let legacy = format!("{:?}", mixed_scenario(false, faults));
-            let merged = format!("{:?}", mixed_scenario(true, faults));
-            assert_eq!(legacy, merged, "faults={faults}");
+    fn mixed_scenario_matches_frozen_queue_only_digest() {
+        for (faults, want) in [
+            (false, 0xf42d_e138_cba1_3762),
+            (true, 0x6688_4aa8_de4d_e0bb),
+        ] {
+            let got = report_digest(&mixed_scenario(faults));
+            assert_eq!(got, want, "faults={faults}: got {got:#018x}");
         }
     }
 
@@ -2315,7 +2216,7 @@ mod tests {
     /// sharing two devices and two cores — exercising model-driven
     /// issue, think-time wakes, write barriers, and the interleave with
     /// the pre-existing stream path.
-    fn app_scenario(merge: bool, faults: bool) -> RunReport {
+    fn app_scenario(faults: bool) -> RunReport {
         use workload::{AppModelSpec, FileServerConfig, KvConfig, MlIngestConfig, OltpConfig};
         let stop = SimTime::from_millis(120);
         let h = simple_hierarchy(5);
@@ -2353,24 +2254,22 @@ mod tests {
                 ..nvme_sim::FaultConfig::none()
             });
         }
-        let mut sim = HostSim::build(HostConfig::with_cores(2), h, apps, vec![d0, d1]);
-        sim.merge = merge;
-        sim.run(stop)
+        HostSim::build(HostConfig::with_cores(2), h, apps, vec![d0, d1]).run(stop)
     }
 
-    /// Closed-loop apps are first-class wake sources: the merged
-    /// (FIFO/tournament/wheel) engine must replay the legacy engine's
-    /// event order bit for bit with application models installed.
+    /// Closed-loop apps are first-class wake sources: with application
+    /// models installed, the engine must still reproduce the frozen
+    /// queue-only reference digest (see
+    /// `mixed_scenario_matches_frozen_queue_only_digest`).
     #[test]
-    fn closed_loop_merged_matches_legacy_bit_for_bit() {
-        let legacy = format!("{:?}", app_scenario(false, false));
-        let merged = format!("{:?}", app_scenario(true, false));
-        assert_eq!(legacy, merged);
+    fn closed_loop_matches_frozen_queue_only_digest() {
+        let got = report_digest(&app_scenario(false));
+        assert_eq!(got, 0x25c1_703c_4d15_1b4f, "got {got:#018x}");
     }
 
     #[test]
     fn closed_loop_apps_make_progress_and_conserve_ops() {
-        let r = app_scenario(true, false);
+        let r = app_scenario(false);
         for app in &r.apps[..4] {
             assert!(
                 app.completed > 100,
@@ -2399,7 +2298,7 @@ mod tests {
     /// op accounting still conserves.
     #[test]
     fn closed_loop_survives_total_device_failure() {
-        let r = app_scenario(true, true);
+        let r = app_scenario(true);
         // Apps 0 (kv) and 2 (fileserver) round-robin across both
         // devices, including the always-failing one.
         for i in [0usize, 2] {

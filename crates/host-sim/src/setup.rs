@@ -1,7 +1,7 @@
 //! Build-time configuration of the simulated host.
 
 use blkio::DeviceId;
-use iosched_sim::{BfqConfig, KyberConfig, MqDeadlineConfig, SchedKind};
+use iosched_sim::{BfqConfig, MqDeadlineConfig, SchedKind};
 use nvme_sim::{DeviceProfile, FaultConfig};
 use simcore::{SimDuration, SimTime};
 use workload::{AppModelSpec, JobSpec};
@@ -132,8 +132,6 @@ pub struct DeviceSetup {
     pub bfq: BfqConfig,
     /// MQ-Deadline tunables.
     pub mq_deadline: MqDeadlineConfig,
-    /// Kyber tunables.
-    pub kyber: KyberConfig,
     /// Fault injection for this device ([`FaultConfig::none`] = inert).
     pub faults: FaultConfig,
 }
@@ -148,7 +146,6 @@ impl DeviceSetup {
             precondition: 0.0,
             bfq: BfqConfig::default(),
             mq_deadline: MqDeadlineConfig::default(),
-            kyber: KyberConfig::default(),
             faults: FaultConfig::none(),
         }
     }

@@ -60,7 +60,7 @@ use std::sync::Mutex;
 
 use blkio::{AppId, CoreId, DeviceId};
 use simcore::trace::{self, TraceEvent, TraceKind};
-use simcore::{EventQueue, SimDuration, SimTime};
+use simcore::{SimDuration, SimTime};
 
 use crate::engine::HostSim;
 use crate::report::{CoreReport, RunReport};
@@ -347,7 +347,6 @@ fn split(sim: HostSim, plan: &[Component]) -> Vec<HostSim> {
             core_local[g] = li;
         }
     }
-    let sim_merge = sim.merge;
     let HostSim {
         config,
         apps,
@@ -382,39 +381,9 @@ fn split(sim: HostSim, plan: &[Component]) -> Vec<HostSim> {
                 .iter()
                 .map(|&i| devs[i].take().expect("device in one component"))
                 .collect();
-            let cap = HostSim::event_capacity(&c_apps, &c_cores, &c_devs);
-            let wake_tree = crate::tourney::Tourney::new(c_apps.len().clamp(1, 64));
-            let app_leaf = vec![HostSim::LEAF_NONE; c_apps.len()];
-            let cpu_tree = crate::tourney::Tourney::new(c_cores.len());
-            let disp_tree = crate::tourney::Tourney::new(c_devs.len());
-            HostSim {
-                config: config.clone(),
-                now: SimTime::ZERO,
-                queue: EventQueue::with_capacity(cap),
-                apps: c_apps,
-                cores: c_cores,
-                devs: c_devs,
-                next_req_id: 0,
-                qos_scratch: Vec::new(),
-                start_scratch: Vec::new(),
-                journal: None,
-                // Each component runs its own merged (or legacy) loop;
-                // the split machine is quiescent, so fresh empty trees
-                // are exact.
-                merge: sim_merge,
-                wake_tree,
-                app_leaf,
-                leaf_app: Vec::new(),
-                free_leaves: Vec::new(),
-                wake_fifo: std::collections::VecDeque::new(),
-                cpu_tree,
-                disp_tree,
-                qfront: None,
-                tree_pending: 0,
-                active_leaves: 0,
-                active_hwm: 0,
-                profile: false,
-            }
+            // The split machine is quiescent, so a fresh engine with
+            // empty queue and trees is exact.
+            HostSim::assemble(config.clone(), c_apps, c_cores, c_devs)
         })
         .collect()
 }
@@ -457,6 +426,8 @@ struct CompResult {
     popped: u64,
     peak: u64,
     faults: (u64, u64, u64),
+    /// High-water mark of the component's active wake-tree leaves.
+    active_hwm: u64,
 }
 
 /// Runs one component engine to `until` (shared by both paths; the
@@ -468,11 +439,13 @@ fn run_component(mut part: HostSim, until: SimTime) -> CompResult {
         j.close();
     }
     let faults = part.fault_totals();
+    let active_hwm = part.active_hwm as u64;
     CompResult {
         report: part.finish(until),
         popped,
         peak,
         faults,
+        active_hwm,
     }
 }
 
@@ -530,8 +503,16 @@ fn merge_reports(
 }
 
 /// Folds component results into the process-global stats (one
-/// `record_run` per scenario, like the sequential path) and returns the
-/// merged report.
+/// `record_run` and one `record_tourney` per scenario, like the
+/// sequential path) and returns the merged report.
+///
+/// Tournament occupancy combines by summing the component high-water
+/// marks over the scenario's total app count. Components run on
+/// independent clocks, so their peaks cannot be lined up in simulated
+/// time; the scenario-wide active set at any instant is the sum of the
+/// component active sets, so the sum of peaks is an upper bound on the
+/// sequential run's high-water mark (and equal to it when the peaks
+/// coincide, as at an all-active start).
 fn finish_sharded(
     plan: &[Component],
     groups: &[Vec<usize>],
@@ -552,7 +533,12 @@ fn finish_sharded(
         let (dt, dr, df) = r.as_ref().expect("every component ran").faults;
         (t + dt, rt + dr, f + df)
     });
+    let active_hwm = results
+        .iter()
+        .map(|r| r.as_ref().expect("every component ran").active_hwm)
+        .sum();
     crate::stats::record_run(popped.iter().sum(), peak);
+    crate::stats::record_tourney(active_hwm, dims.0 as u64);
     crate::stats::record_faults(t, rt, f);
     let per_shard: Vec<u64> = groups
         .iter()

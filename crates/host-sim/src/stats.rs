@@ -59,11 +59,13 @@ pub struct EngineStats {
     /// proptest asserts exactly that.
     pub horizon_violations: u64,
     /// High-water mark of concurrently active wake-tournament leaves
-    /// (apps with at least one pending wake) over all merged runs. Zero
-    /// when only the legacy queue-only engine ran.
+    /// (apps with at least one near-term pending wake), maxed over all
+    /// finished runs. A sharded run contributes the sum of its
+    /// components' high-water marks (an upper bound on the sequential
+    /// value; see DESIGN.md §17). Zero until a run finishes.
     pub tourney_active_hwm: u64,
     /// Provisioned wake-tournament leaves (total apps) in the largest
-    /// merged run; `1 - tourney_active_hwm / tourney_leaves` is the
+    /// finished run; `1 - tourney_active_hwm / tourney_leaves` is the
     /// suppressed-tenant ratio — the fraction of tenants the engine
     /// never paid per-event cost for.
     pub tourney_leaves: u64,
@@ -134,10 +136,10 @@ const ZERO: AtomicU64 = AtomicU64::new(0);
 static SUBSYS_NS: [AtomicU64; 5] = [ZERO; 5];
 static SUBSYS_N: [AtomicU64; 5] = [ZERO; 5];
 /// High-water mark of concurrently active tournament leaves (apps with a
-/// pending wake), maxed over finished merged runs.
+/// pending wake), maxed over finished runs.
 static TOURNEY_ACTIVE_HWM: AtomicU64 = AtomicU64::new(0);
-/// Provisioned tournament leaves (total apps), maxed over finished
-/// merged runs; `1 - hwm/leaves` is the suppressed-tenant ratio.
+/// Provisioned tournament leaves (total apps), maxed over finished runs;
+/// `1 - hwm/leaves` is the suppressed-tenant ratio.
 static TOURNEY_LEAVES: AtomicU64 = AtomicU64::new(0);
 
 /// Enables wall-clock attribution of event-loop work to the five
@@ -169,7 +171,7 @@ pub fn subsys_snapshot() -> [(u64, u64); 5] {
     out
 }
 
-/// Folds one merged run's tournament occupancy into the globals.
+/// Folds one finished run's tournament occupancy into the globals.
 pub(crate) fn record_tourney(active_hwm: u64, leaves: u64) {
     TOURNEY_ACTIVE_HWM.fetch_max(active_hwm, Ordering::Relaxed);
     TOURNEY_LEAVES.fetch_max(leaves, Ordering::Relaxed);

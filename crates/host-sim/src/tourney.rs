@@ -1,6 +1,6 @@
 //! A tournament tree merging per-source event frontiers.
 //!
-//! The merged engine keeps its three bounded event classes (app wakes,
+//! The engine keeps its three bounded event classes (app wakes,
 //! per-core CPU completions, per-device dispatch completions) *outside*
 //! the timer wheel, as per-source frontiers. This tree merges those
 //! frontiers: each leaf holds one source's earliest `(time, seq)` key
@@ -12,9 +12,9 @@
 //! This is the winner-tree variant of the classic loser-tree merge:
 //! same comparison structure, simpler replay logic. Keys are totally
 //! ordered because every key draws its `seq` from the engine's one
-//! event-queue counter ([`simcore::EventQueue::alloc_seq`]), which is
-//! also what makes the merged pop order bit-identical to the
-//! queue-only engine's (see DESIGN.md §17).
+//! event-queue counter ([`simcore::EventQueue::alloc_seq`]), so the
+//! merged pop order is the one `(time, seq)` order a single queue
+//! holding every event would produce (see DESIGN.md §17).
 
 use simcore::SimTime;
 

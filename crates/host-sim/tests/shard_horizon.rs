@@ -40,10 +40,9 @@ fn dev_mix(d: usize, seed: u64) -> DevMix {
     } else {
         DeviceSetup::optane()
     };
-    setup = setup.with_scheduler(match mix(seed ^ 1) % 4 {
+    setup = setup.with_scheduler(match mix(seed ^ 1) % 3 {
         0 => SchedKind::None,
-        1 => SchedKind::Kyber,
-        2 => SchedKind::MqDeadline,
+        1 => SchedKind::MqDeadline,
         _ => SchedKind::Bfq,
     });
     let faulted = match mix(seed ^ 2) % 3 {

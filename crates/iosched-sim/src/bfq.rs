@@ -24,8 +24,6 @@ use blkio::{AccessPattern, GroupId, IoRequest};
 use serde::{Deserialize, Serialize};
 use simcore::{SimDuration, SimTime};
 
-use crate::{IoScheduler, SchedKind};
-
 /// Tunables of [`Bfq`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BfqConfig {
@@ -124,10 +122,9 @@ impl Bfq {
         }
         Some(req)
     }
-}
 
-impl IoScheduler for Bfq {
-    fn insert(&mut self, req: IoRequest, _now: SimTime) {
+    /// Queues a request.
+    pub fn insert(&mut self, req: IoRequest, _now: SimTime) {
         let global_v = self.global_vtime;
         let in_service = self.in_service;
         let g = self.group_mut(req.group);
@@ -143,7 +140,9 @@ impl IoScheduler for Bfq {
         }
     }
 
-    fn dispatch(&mut self, now: SimTime) -> Option<IoRequest> {
+    /// Picks the next request to send to the device, or `None` if none
+    /// may dispatch right now.
+    pub fn dispatch(&mut self, now: SimTime) -> Option<IoRequest> {
         if let Some(current) = self.in_service {
             let (has_work, budget_spent) = {
                 let g = self.groups.get(&current)?;
@@ -181,11 +180,14 @@ impl IoScheduler for Bfq {
         self.serve_from(next, now)
     }
 
-    fn has_pending(&self) -> bool {
+    /// `true` if any request is queued.
+    pub fn has_pending(&self) -> bool {
         self.groups.values().any(|g| !g.queue.is_empty())
     }
 
-    fn next_timer(&self, now: SimTime) -> Option<SimTime> {
+    /// The earliest instant at which `dispatch` might newly succeed
+    /// while requests are pending.
+    pub fn next_timer(&self, now: SimTime) -> Option<SimTime> {
         match (self.in_service, self.idle_until) {
             (Some(current), Some(t)) if now < t => {
                 // A timer is only useful if someone else is waiting.
@@ -199,22 +201,19 @@ impl IoScheduler for Bfq {
         }
     }
 
-    fn on_complete(&mut self, _req: &IoRequest, _now: SimTime) {}
-
-    fn dispatch_overhead(&self) -> SimDuration {
+    /// Serialized per-request dispatch cost.
+    pub fn dispatch_overhead(&self) -> SimDuration {
         self.config.dispatch_overhead
     }
 
-    fn submit_cpu_overhead(&self) -> SimDuration {
+    /// Extra per-I/O CPU burned on the submitting core.
+    pub fn submit_cpu_overhead(&self) -> SimDuration {
         self.config.submit_cpu_overhead
     }
 
-    fn set_group_weight(&mut self, group: GroupId, weight: u32) {
+    /// Updates a cgroup's `io.bfq.weight`, clamped to BFQ's 1–1000 range.
+    pub fn set_group_weight(&mut self, group: GroupId, weight: u32) {
         self.group_mut(group).weight = weight.clamp(1, 1_000);
-    }
-
-    fn kind(&self) -> SchedKind {
-        SchedKind::Bfq
     }
 }
 

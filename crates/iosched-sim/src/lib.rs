@@ -1,7 +1,7 @@
 //! # iosched-sim — Linux multi-queue I/O scheduler models
 //!
 //! From-scratch implementations of the block-layer schedulers the paper
-//! evaluates (§IV-B), behind one [`IoScheduler`] trait:
+//! evaluates (§IV-B), behind one [`Scheduler`] enum:
 //!
 //! * [`Noop`] — scheduler `none`: a plain FIFO with negligible cost,
 //! * [`MqDeadline`] — MQ-Deadline with the three `ioprio` classes
@@ -9,24 +9,22 @@
 //!   anti-starvation aging timeout (`prio_aging_expire`),
 //! * [`Bfq`] — BFQ with per-group weights (`io.bfq.weight`), virtual-time
 //!   fair queueing, per-slice budgets, and the `slice_idle` device idling
-//!   that costs utilization (Fig. 2c/d, Fig. 4),
-//! * [`Kyber`] — a simplified Kyber (latency-target token scheduler),
-//!   included as an extension beyond the paper's evaluated set.
+//!   that costs utilization (Fig. 2c/d, Fig. 4).
 //!
 //! Two cost hooks let the host model the schedulers' overheads
-//! faithfully: [`IoScheduler::dispatch_overhead`] (the serialized
+//! faithfully: [`Scheduler::dispatch_overhead`] (the serialized
 //! dispatch-path cost that caps bandwidth — Fig. 4) and
-//! [`IoScheduler::submit_cpu_overhead`] (extra per-I/O CPU on the
+//! [`Scheduler::submit_cpu_overhead`] (extra per-I/O CPU on the
 //! submitting core — Fig. 3).
 //!
 //! # Example
 //!
 //! ```
-//! use iosched_sim::{IoScheduler, MqDeadline, SchedKind};
+//! use iosched_sim::{SchedKind, Scheduler};
 //! use blkio::{IoRequest, AppId, GroupId, DeviceId, IoOp, AccessPattern, PrioClass};
 //! use simcore::SimTime;
 //!
-//! let mut sched = MqDeadline::new(Default::default());
+//! let mut sched = Scheduler::new(SchedKind::MqDeadline);
 //! let mut rt = IoRequest::new(0, AppId(0), GroupId(1), DeviceId(0), IoOp::Read,
 //!                             AccessPattern::Random, 4096, 0, SimTime::ZERO);
 //! rt.prio = PrioClass::Realtime;
@@ -44,12 +42,10 @@
 #![warn(missing_docs)]
 
 mod bfq;
-mod kyber;
 mod mq_deadline;
 mod noop;
 
 pub use bfq::{Bfq, BfqConfig};
-pub use kyber::{Kyber, KyberConfig};
 pub use mq_deadline::{MqDeadline, MqDeadlineConfig};
 pub use noop::Noop;
 
@@ -86,8 +82,6 @@ pub enum SchedKind {
     MqDeadline,
     /// BFQ.
     Bfq,
-    /// Kyber (extension).
-    Kyber,
 }
 
 impl SchedKind {
@@ -98,7 +92,6 @@ impl SchedKind {
             SchedKind::None => "none",
             SchedKind::MqDeadline => "mq-deadline",
             SchedKind::Bfq => "bfq",
-            SchedKind::Kyber => "kyber",
         }
     }
 }
@@ -109,75 +102,22 @@ impl std::fmt::Display for SchedKind {
     }
 }
 
-/// A block-layer I/O scheduler instance attached to one device.
+/// A block-layer I/O scheduler instance attached to one device: enum
+/// dispatch over the closed scheduler set.
 ///
 /// The host engine inserts submitted requests, asks for dispatches when
-/// the device has room, and reports completions back. `dispatch` may
-/// return `None` even with pending requests (BFQ's `slice_idle`); in that
-/// case [`IoScheduler::next_timer`] says when to retry.
-pub trait IoScheduler: std::fmt::Debug {
-    /// Queues a request.
-    fn insert(&mut self, req: IoRequest, now: SimTime);
-
-    /// Picks the next request to send to the device, or `None` if the
-    /// scheduler chooses to wait (idling) or has nothing.
-    fn dispatch(&mut self, now: SimTime) -> Option<IoRequest>;
-
-    /// `true` if any request is queued (even if `dispatch` would return
-    /// `None` right now).
-    fn has_pending(&self) -> bool;
-
-    /// The earliest instant at which `dispatch` might newly succeed while
-    /// requests are pending (idle expiry, aging deadline); `None` if a
-    /// call right now would already succeed or nothing is pending.
-    fn next_timer(&self, now: SimTime) -> Option<SimTime>;
-
-    /// Reports a device completion for a request this scheduler
-    /// dispatched.
-    fn on_complete(&mut self, req: &IoRequest, now: SimTime);
-
-    /// Serialized per-request dispatch cost (the scheduler-lock path);
-    /// this is what caps the schedulers' bandwidth in Fig. 4.
-    fn dispatch_overhead(&self) -> SimDuration;
-
-    /// Extra per-I/O CPU burned on the submitting core (Fig. 3 overhead).
-    fn submit_cpu_overhead(&self) -> SimDuration;
-
-    /// Updates the absolute weight of a cgroup (used by BFQ; default
-    /// no-op).
-    fn set_group_weight(&mut self, group: GroupId, weight: u32) {
-        let _ = (group, weight);
-    }
-
-    /// Which scheduler this is.
-    fn kind(&self) -> SchedKind;
-}
-
-/// Creates a boxed scheduler of the given kind with default config.
-///
-/// Kept for callers that want trait-object polymorphism; the engine hot
-/// path uses [`Scheduler`] instead to avoid per-call vtable indirection.
-#[must_use]
-pub fn make_scheduler(kind: SchedKind) -> Box<dyn IoScheduler> {
-    match kind {
-        SchedKind::None => Box::new(Noop::new()),
-        SchedKind::MqDeadline => Box::new(MqDeadline::new(MqDeadlineConfig::default())),
-        SchedKind::Bfq => Box::new(Bfq::new(BfqConfig::default())),
-        SchedKind::Kyber => Box::new(Kyber::new(KyberConfig::default())),
-    }
-}
-
-/// Enum dispatch over the closed scheduler set.
+/// the device has room, and reads the two cost hooks per request.
+/// `dispatch` may return `None` even with pending requests (BFQ's
+/// `slice_idle`); in that case [`Scheduler::next_timer`] says when to
+/// retry.
 ///
 /// The kernel's elevator framework is an open registry, but this
-/// simulation models exactly four schedulers, so the host engine stores
-/// this enum instead of `Box<dyn IoScheduler>`: every per-request call
-/// (`insert`/`dispatch`/`on_complete` and the two overhead probes) is a
-/// direct, inlinable match instead of a vtable hop, and the scheduler
-/// lives inline in `DeviceHost` rather than behind a heap pointer.
+/// simulation models exactly the paper's three schedulers, so every
+/// per-request call is a direct, inlinable match and the scheduler lives
+/// inline in the device host rather than behind a heap pointer.
 // Inline variants on purpose: one scheduler exists per device, and the
 // engine calls through it on every event — boxing the large variants
-// would reintroduce the pointer hop this enum removes.
+// would reintroduce a pointer hop.
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 pub enum Scheduler {
@@ -187,8 +127,6 @@ pub enum Scheduler {
     MqDeadline(MqDeadline),
     /// BFQ.
     Bfq(Bfq),
-    /// Kyber.
-    Kyber(Kyber),
 }
 
 macro_rules! each_sched {
@@ -197,7 +135,6 @@ macro_rules! each_sched {
             Scheduler::Noop($s) => $body,
             Scheduler::MqDeadline($s) => $body,
             Scheduler::Bfq($s) => $body,
-            Scheduler::Kyber($s) => $body,
         }
     };
 }
@@ -210,18 +147,18 @@ impl Scheduler {
             SchedKind::None => Scheduler::Noop(Noop::new()),
             SchedKind::MqDeadline => Scheduler::MqDeadline(MqDeadline::new(Default::default())),
             SchedKind::Bfq => Scheduler::Bfq(Bfq::new(Default::default())),
-            SchedKind::Kyber => Scheduler::Kyber(Kyber::new(Default::default())),
         }
     }
 
-    /// Queues a request. See [`IoScheduler::insert`].
+    /// Queues a request.
     #[inline]
     pub fn insert(&mut self, req: IoRequest, now: SimTime) {
         trace::record_with(|| sched_event(TraceKind::SchedEnqueue, &req, now));
         each_sched!(self, s => s.insert(req, now));
     }
 
-    /// Picks the next request to dispatch. See [`IoScheduler::dispatch`].
+    /// Picks the next request to send to the device, or `None` if the
+    /// scheduler chooses to wait (idling) or has nothing.
     #[inline]
     pub fn dispatch(&mut self, now: SimTime) -> Option<IoRequest> {
         let picked = each_sched!(self, s => s.dispatch(now));
@@ -231,52 +168,54 @@ impl Scheduler {
         picked
     }
 
-    /// `true` if any request is queued. See [`IoScheduler::has_pending`].
+    /// `true` if any request is queued (even if `dispatch` would return
+    /// `None` right now).
     #[inline]
     #[must_use]
     pub fn has_pending(&self) -> bool {
         each_sched!(self, s => s.has_pending())
     }
 
-    /// Earliest instant `dispatch` might newly succeed. See
-    /// [`IoScheduler::next_timer`].
+    /// The earliest instant at which `dispatch` might newly succeed while
+    /// requests are pending (idle expiry); `None` if a call right now
+    /// would already succeed or nothing is pending.
     #[inline]
     #[must_use]
     pub fn next_timer(&self, now: SimTime) -> Option<SimTime> {
         each_sched!(self, s => s.next_timer(now))
     }
 
-    /// Reports a device completion. See [`IoScheduler::on_complete`].
-    #[inline]
-    pub fn on_complete(&mut self, req: &IoRequest, now: SimTime) {
-        each_sched!(self, s => s.on_complete(req, now));
-    }
-
-    /// Serialized per-request dispatch cost. See
-    /// [`IoScheduler::dispatch_overhead`].
+    /// Serialized per-request dispatch cost (the scheduler-lock path);
+    /// this is what caps the schedulers' bandwidth in Fig. 4.
     #[inline]
     #[must_use]
     pub fn dispatch_overhead(&self) -> SimDuration {
         each_sched!(self, s => s.dispatch_overhead())
     }
 
-    /// Extra per-I/O submit CPU. See
-    /// [`IoScheduler::submit_cpu_overhead`].
+    /// Extra per-I/O CPU burned on the submitting core (Fig. 3 overhead).
     #[inline]
     #[must_use]
     pub fn submit_cpu_overhead(&self) -> SimDuration {
         each_sched!(self, s => s.submit_cpu_overhead())
     }
 
-    /// Updates a cgroup's weight. See [`IoScheduler::set_group_weight`].
+    /// Updates the absolute weight of a cgroup. Only BFQ schedules by
+    /// weight; the other schedulers ignore it.
     pub fn set_group_weight(&mut self, group: GroupId, weight: u32) {
-        each_sched!(self, s => s.set_group_weight(group, weight));
+        if let Scheduler::Bfq(s) = self {
+            s.set_group_weight(group, weight);
+        }
     }
 
     /// Which scheduler this is.
     #[must_use]
     pub fn kind(&self) -> SchedKind {
-        each_sched!(self, s => s.kind())
+        match self {
+            Scheduler::Noop(_) => SchedKind::None,
+            Scheduler::MqDeadline(_) => SchedKind::MqDeadline,
+            Scheduler::Bfq(_) => SchedKind::Bfq,
+        }
     }
 }
 
@@ -295,12 +234,6 @@ impl From<MqDeadline> for Scheduler {
 impl From<Bfq> for Scheduler {
     fn from(s: Bfq) -> Self {
         Scheduler::Bfq(s)
-    }
-}
-
-impl From<Kyber> for Scheduler {
-    fn from(s: Kyber) -> Self {
-        Scheduler::Kyber(s)
     }
 }
 
@@ -340,43 +273,39 @@ pub(crate) mod test_util {
 mod tests {
     use super::*;
 
+    const KINDS: [SchedKind; 3] = [SchedKind::None, SchedKind::MqDeadline, SchedKind::Bfq];
+
     #[test]
     fn kind_names_match_sysfs() {
         assert_eq!(SchedKind::None.to_string(), "none");
         assert_eq!(SchedKind::MqDeadline.to_string(), "mq-deadline");
         assert_eq!(SchedKind::Bfq.to_string(), "bfq");
-        assert_eq!(SchedKind::Kyber.to_string(), "kyber");
     }
 
     #[test]
     fn factory_builds_each_kind() {
-        for kind in [
-            SchedKind::None,
-            SchedKind::MqDeadline,
-            SchedKind::Bfq,
-            SchedKind::Kyber,
-        ] {
-            let s = make_scheduler(kind);
+        for kind in KINDS {
+            let s = Scheduler::new(kind);
             assert_eq!(s.kind(), kind);
             assert!(!s.has_pending());
+            assert_eq!(s.next_timer(SimTime::ZERO), None);
         }
     }
 
     #[test]
-    fn enum_dispatch_agrees_with_trait_objects() {
-        for kind in [
-            SchedKind::None,
-            SchedKind::MqDeadline,
-            SchedKind::Bfq,
-            SchedKind::Kyber,
-        ] {
-            let e = Scheduler::new(kind);
-            let b = make_scheduler(kind);
+    fn enum_dispatch_agrees_with_the_variant() {
+        // The enum forwards to the wrapped scheduler, and `From` picks
+        // the matching variant.
+        let built: [Scheduler; 3] = [
+            Noop::new().into(),
+            MqDeadline::new(MqDeadlineConfig::default()).into(),
+            Bfq::new(BfqConfig::default()).into(),
+        ];
+        for (kind, e) in KINDS.into_iter().zip(built) {
+            let fresh = Scheduler::new(kind);
             assert_eq!(e.kind(), kind);
-            assert!(!e.has_pending());
-            assert_eq!(e.dispatch_overhead(), b.dispatch_overhead());
-            assert_eq!(e.submit_cpu_overhead(), b.submit_cpu_overhead());
-            assert_eq!(e.next_timer(SimTime::ZERO), b.next_timer(SimTime::ZERO));
+            assert_eq!(e.dispatch_overhead(), fresh.dispatch_overhead());
+            assert_eq!(e.submit_cpu_overhead(), fresh.submit_cpu_overhead());
         }
     }
 
@@ -388,16 +317,15 @@ mod tests {
         assert!(s.has_pending());
         let out = s.dispatch(SimTime::ZERO).expect("dispatchable");
         assert_eq!(out.id, 7);
-        s.on_complete(&out, SimTime::ZERO);
         assert!(!s.has_pending());
     }
 
     #[test]
     fn overhead_ordering_matches_paper() {
         // BFQ > MQ-DL > none, both in dispatch and CPU cost (O1, O2).
-        let none = make_scheduler(SchedKind::None);
-        let mq = make_scheduler(SchedKind::MqDeadline);
-        let bfq = make_scheduler(SchedKind::Bfq);
+        let none = Scheduler::new(SchedKind::None);
+        let mq = Scheduler::new(SchedKind::MqDeadline);
+        let bfq = Scheduler::new(SchedKind::Bfq);
         assert!(bfq.dispatch_overhead() > mq.dispatch_overhead());
         assert!(mq.dispatch_overhead() > none.dispatch_overhead());
         assert!(bfq.submit_cpu_overhead() > mq.submit_cpu_overhead());

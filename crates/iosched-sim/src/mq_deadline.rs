@@ -12,8 +12,6 @@ use blkio::{IoRequest, PrioClass};
 use serde::{Deserialize, Serialize};
 use simcore::{SimDuration, SimTime};
 
-use crate::{IoScheduler, SchedKind};
-
 /// Tunables of [`MqDeadline`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MqDeadlineConfig {
@@ -84,10 +82,9 @@ impl MqDeadline {
         }
         Some(highest)
     }
-}
 
-impl IoScheduler for MqDeadline {
-    fn insert(&mut self, req: IoRequest, now: SimTime) {
+    /// Queues a request.
+    pub fn insert(&mut self, req: IoRequest, now: SimTime) {
         let idx = class_index(req.prio);
         self.queues[idx].push_back(Entry {
             req,
@@ -95,16 +92,21 @@ impl IoScheduler for MqDeadline {
         });
     }
 
-    fn dispatch(&mut self, now: SimTime) -> Option<IoRequest> {
+    /// Picks the next request to send to the device, or `None` if none
+    /// may dispatch right now.
+    pub fn dispatch(&mut self, now: SimTime) -> Option<IoRequest> {
         let c = self.pick_class(now)?;
         self.queues[c].pop_front().map(|e| e.req)
     }
 
-    fn has_pending(&self) -> bool {
+    /// `true` if any request is queued.
+    pub fn has_pending(&self) -> bool {
         self.queues.iter().any(|q| !q.is_empty())
     }
 
-    fn next_timer(&self, now: SimTime) -> Option<SimTime> {
+    /// The earliest instant at which `dispatch` might newly succeed
+    /// while requests are pending.
+    pub fn next_timer(&self, now: SimTime) -> Option<SimTime> {
         // dispatch() always succeeds while something is pending, so no
         // retry timer is ever needed; aging only changes *which* request
         // dispatches. (The host keeps dispatching while the device has
@@ -113,18 +115,14 @@ impl IoScheduler for MqDeadline {
         None
     }
 
-    fn on_complete(&mut self, _req: &IoRequest, _now: SimTime) {}
-
-    fn dispatch_overhead(&self) -> SimDuration {
+    /// Serialized per-request dispatch cost.
+    pub fn dispatch_overhead(&self) -> SimDuration {
         self.config.dispatch_overhead
     }
 
-    fn submit_cpu_overhead(&self) -> SimDuration {
+    /// Extra per-I/O CPU burned on the submitting core.
+    pub fn submit_cpu_overhead(&self) -> SimDuration {
         self.config.submit_cpu_overhead
-    }
-
-    fn kind(&self) -> SchedKind {
-        SchedKind::MqDeadline
     }
 }
 

@@ -5,8 +5,6 @@ use std::collections::VecDeque;
 use blkio::IoRequest;
 use simcore::{SimDuration, SimTime};
 
-use crate::{IoScheduler, SchedKind};
-
 /// The `none` "scheduler": requests dispatch in arrival order with almost
 /// no added cost. This is the paper's baseline configuration.
 #[derive(Debug, Default)]
@@ -20,38 +18,38 @@ impl Noop {
     pub fn new() -> Self {
         Noop::default()
     }
-}
 
-impl IoScheduler for Noop {
-    fn insert(&mut self, req: IoRequest, _now: SimTime) {
+    /// Queues a request.
+    pub fn insert(&mut self, req: IoRequest, _now: SimTime) {
         self.queue.push_back(req);
     }
 
-    fn dispatch(&mut self, _now: SimTime) -> Option<IoRequest> {
+    /// Picks the next request to send to the device, or `None` if none
+    /// may dispatch right now.
+    pub fn dispatch(&mut self, _now: SimTime) -> Option<IoRequest> {
         self.queue.pop_front()
     }
 
-    fn has_pending(&self) -> bool {
+    /// `true` if any request is queued.
+    pub fn has_pending(&self) -> bool {
         !self.queue.is_empty()
     }
 
-    fn next_timer(&self, _now: SimTime) -> Option<SimTime> {
+    /// The earliest instant at which `dispatch` might newly succeed
+    /// while requests are pending.
+    pub fn next_timer(&self, _now: SimTime) -> Option<SimTime> {
         None
     }
 
-    fn on_complete(&mut self, _req: &IoRequest, _now: SimTime) {}
-
-    fn dispatch_overhead(&self) -> SimDuration {
+    /// Serialized per-request dispatch cost.
+    pub fn dispatch_overhead(&self) -> SimDuration {
         // The hardware dispatch path without an elevator: ~0.1 µs.
         SimDuration::from_nanos(100)
     }
 
-    fn submit_cpu_overhead(&self) -> SimDuration {
+    /// Extra per-I/O CPU burned on the submitting core.
+    pub fn submit_cpu_overhead(&self) -> SimDuration {
         SimDuration::ZERO
-    }
-
-    fn kind(&self) -> SchedKind {
-        SchedKind::None
     }
 }
 

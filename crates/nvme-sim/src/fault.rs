@@ -10,7 +10,7 @@
 //! ([`FaultConfig::none`]) leaves runs byte-identical to a build without
 //! this module. Because the stream is a pure function of the seed and
 //! device index (not a `DetRng::fork`, which mutates its parent), plans
-//! are identical across `--jobs` values and event-queue backends.
+//! are identical across `--jobs` values.
 
 use simcore::{DetRng, SimDuration, SimTime};
 
@@ -126,7 +126,7 @@ pub struct FaultPlan {
 impl FaultPlan {
     /// Builds the plan for device `device_index` of a run seeded with
     /// `seed`. The RNG stream is a pure function of both — independent
-    /// of fork order, thread count, and queue backend.
+    /// of fork order and thread count.
     #[must_use]
     pub fn new(config: FaultConfig, seed: u64, device_index: u64) -> Self {
         let stream =

@@ -1,92 +1,23 @@
 //! The central event queue of the discrete-event engine.
 //!
-//! Two interchangeable backends sit behind one API:
+//! [`EventQueue`] is a hierarchical timing wheel in the style of the
+//! kernel's timer wheel: two fixed-size near levels of slotted FIFO
+//! buckets plus an overflow heap for far timers. Schedule and pop are
+//! O(1) amortized for the near levels, which is where a discrete-event
+//! simulation's events overwhelmingly land (device completions and CPU
+//! work sit microseconds out).
 //!
-//! * [`QueueBackend::Wheel`] (the default) — a hierarchical timing wheel
-//!   in the style of the kernel's timer wheel: two fixed-size near
-//!   levels of slotted FIFO buckets plus an overflow heap for far
-//!   timers. Schedule and pop are O(1) amortized for the near levels,
-//!   which is where a discrete-event simulation's events overwhelmingly
-//!   land (device completions and CPU work sit microseconds out).
-//! * [`QueueBackend::Heap`] — the classic binary heap, kept as the
-//!   reference implementation; the wheel must reproduce its pop order
-//!   bit for bit (`wheel_matches_heap_*` tests below, plus the fig4
-//!   grid comparison in `crates/core/tests/determinism.rs`).
-//!
-//! Both backends order events by `(instant, schedule sequence)`, so
-//! events at the same instant pop in the order they were scheduled —
-//! the determinism invariant every simulation in this workspace leans
-//! on. See DESIGN.md §"Engine internals" for the wheel layout and the
-//! cursor invariants.
+//! Events are ordered by `(instant, schedule sequence)`, so events at
+//! the same instant pop in the order they were scheduled — the
+//! determinism invariant every simulation in this workspace leans on.
+//! The `wheel_matches_model_*` tests below check the pop order against
+//! a plain binary-heap model. See DESIGN.md §"Engine internals" for the
+//! wheel layout and the cursor invariants.
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicU8, Ordering as AtomicOrdering};
 
 use crate::SimTime;
-
-/// Which data structure backs an [`EventQueue`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum QueueBackend {
-    /// Hierarchical timing wheel with an overflow heap (the default).
-    #[default]
-    Wheel,
-    /// Binary heap (the reference backend).
-    Heap,
-}
-
-/// Process-wide default backend for [`EventQueue::new`] /
-/// [`EventQueue::with_capacity`]: 0 = wheel, 1 = heap.
-static DEFAULT_BACKEND: AtomicU8 = AtomicU8::new(0);
-
-/// Sets the process-wide default backend used by [`EventQueue::new`].
-///
-/// Both backends produce identical pop sequences, so flipping this at
-/// any point changes throughput only, never simulation results (the
-/// determinism suite asserts exactly that). Intended for A/B testing
-/// and the regression tests; library code should not need it.
-pub fn set_default_backend(backend: QueueBackend) {
-    DEFAULT_BACKEND.store(backend as u8, AtomicOrdering::Relaxed);
-}
-
-/// The current process-wide default backend.
-#[must_use]
-pub fn default_backend() -> QueueBackend {
-    match DEFAULT_BACKEND.load(AtomicOrdering::Relaxed) {
-        1 => QueueBackend::Heap,
-        _ => QueueBackend::Wheel,
-    }
-}
-
-/// A time-ordered queue of events with FIFO tie-breaking.
-///
-/// Events scheduled for the same instant pop in the order they were
-/// scheduled, which keeps simulations deterministic without requiring the
-/// payload type to be `Ord`.
-///
-/// # Example
-///
-/// ```
-/// use simcore::{EventQueue, SimTime};
-///
-/// let mut q = EventQueue::new();
-/// q.schedule(SimTime::from_nanos(10), 'b');
-/// q.schedule(SimTime::from_nanos(10), 'c');
-/// q.schedule(SimTime::from_nanos(5), 'a');
-/// let order: Vec<char> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-/// assert_eq!(order, vec!['a', 'b', 'c']);
-/// ```
-#[derive(Debug)]
-pub struct EventQueue<E> {
-    imp: Imp<E>,
-    seq: u64,
-}
-
-#[derive(Debug)]
-enum Imp<E> {
-    Wheel(Wheel<E>),
-    Heap(BinaryHeap<Entry<E>>),
-}
 
 #[derive(Debug)]
 struct Entry<E> {
@@ -96,7 +27,7 @@ struct Entry<E> {
 }
 
 impl<E> Entry<E> {
-    /// The total order both backends agree on.
+    /// The queue's total order.
     fn key(&self) -> (SimTime, u64) {
         (self.at, self.seq)
     }
@@ -131,9 +62,14 @@ const SLOT_MASK: u64 = SLOTS as u64 - 1;
 /// (~262 µs); 256 of them cover ~67 ms. Anything farther is a far timer.
 const L1_SHIFT: u32 = SLOT_SHIFT + 8;
 
-/// Hierarchical timing wheel.
+/// A time-ordered queue of events with FIFO tie-breaking, implemented as
+/// a hierarchical timing wheel.
 ///
-/// Invariants (absolute L0 slot number = `at >> SLOT_SHIFT`):
+/// Events scheduled for the same instant pop in the order they were
+/// scheduled, which keeps simulations deterministic without requiring the
+/// payload type to be `Ord`.
+///
+/// Wheel invariants (absolute L0 slot number = `at >> SLOT_SHIFT`):
 ///
 /// 1. `bucket` holds every pending event whose slot ≤ `cursor`, sorted
 ///    **descending** by `(at, seq)` so the next event pops from the back.
@@ -145,8 +81,21 @@ const L1_SHIFT: u32 = SLOT_SHIFT + 8;
 /// 4. `far` (a min-heap) holds only events with L1 slot ≥ `cursor1`+256;
 ///    `advance_cursor` re-files newly eligible far events into `l1`
 ///    every time `cursor1` grows, so levels never hide an earlier event.
+///
+/// # Example
+///
+/// ```
+/// use simcore::{EventQueue, SimTime};
+///
+/// let mut q = EventQueue::new();
+/// q.schedule(SimTime::from_nanos(10), 'b');
+/// q.schedule(SimTime::from_nanos(10), 'c');
+/// q.schedule(SimTime::from_nanos(5), 'a');
+/// let order: Vec<char> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+/// assert_eq!(order, vec!['a', 'b', 'c']);
+/// ```
 #[derive(Debug)]
-struct Wheel<E> {
+pub struct EventQueue<E> {
     /// Absolute L0 slot currently draining through `bucket`.
     cursor: u64,
     bucket: Vec<Entry<E>>,
@@ -156,6 +105,8 @@ struct Wheel<E> {
     l1_occ: [u64; SLOTS / 64],
     far: BinaryHeap<Entry<E>>,
     len: usize,
+    /// Next FIFO tie-break sequence number.
+    seq: u64,
 }
 
 fn slot_of(at: SimTime) -> u64 {
@@ -200,9 +151,22 @@ fn occ_next(occ: &[u64; SLOTS / 64], from: usize) -> Option<u64> {
     None
 }
 
-impl<E> Wheel<E> {
-    fn new(cap: usize) -> Self {
-        Wheel {
+impl<E> EventQueue<E> {
+    /// Creates an empty queue.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::with_capacity(0)
+    }
+
+    /// Creates an empty queue pre-sized for `cap` pending events.
+    ///
+    /// Simulations whose pending-event count has a knowable upper bound
+    /// (e.g. one timer per component plus one completion per in-flight
+    /// request) can pre-size once and keep the hot schedule/pop loop
+    /// (nearly) allocation-free.
+    #[must_use]
+    pub fn with_capacity(cap: usize) -> Self {
+        EventQueue {
             cursor: 0,
             bucket: Vec::with_capacity(cap.min(1024)),
             l0: (0..SLOTS).map(|_| Vec::new()).collect(),
@@ -211,7 +175,136 @@ impl<E> Wheel<E> {
             l1_occ: [0; SLOTS / 64],
             far: BinaryHeap::new(),
             len: 0,
+            seq: 0,
         }
+    }
+
+    /// Number of events the queue can hold without reallocating its main
+    /// storage (the drain bucket + far heap; the slot lists grow
+    /// independently on demand).
+    #[must_use]
+    pub fn capacity(&self) -> usize {
+        self.bucket.capacity() + self.far.capacity()
+    }
+
+    /// Schedules `payload` to fire at instant `at`, returning the FIFO
+    /// tie-break seq assigned to it (callers tracking the queue's front
+    /// key can min-update their cache without a peek).
+    pub fn schedule(&mut self, at: SimTime, payload: E) -> u64 {
+        let seq = self.alloc_seq();
+        self.len += 1;
+        self.place(Entry { at, seq, payload });
+        seq
+    }
+
+    /// Claims the next FIFO tie-break sequence number without
+    /// scheduling anything.
+    ///
+    /// Engines that keep some event classes *outside* the queue (e.g. a
+    /// tournament merge over per-source frontiers) draw their keys from
+    /// here so queue events and merged events share one total
+    /// `(time, seq)` order.
+    pub fn alloc_seq(&mut self) -> u64 {
+        let seq = self.seq;
+        self.seq += 1;
+        seq
+    }
+
+    /// Removes and returns the earliest event, or `None` if empty.
+    pub fn pop(&mut self) -> Option<(SimTime, E)> {
+        self.pop_keyed().map(|(at, _, payload)| (at, payload))
+    }
+
+    /// Removes and returns the earliest event together with its FIFO
+    /// tie-break sequence number (the queue's total order is
+    /// `(time, seq)`). See [`EventQueue::alloc_seq`] for how external
+    /// event sources join that order.
+    pub fn pop_keyed(&mut self) -> Option<(SimTime, u64, E)> {
+        self.settle()?;
+        let e = self.bucket.pop().expect("settled wheel has a front event");
+        self.len -= 1;
+        Some((e.at, e.seq, e.payload))
+    }
+
+    /// The instant of the earliest pending event.
+    #[must_use]
+    pub fn peek_time(&self) -> Option<SimTime> {
+        if let Some(e) = self.bucket.last() {
+            return Some(e.at);
+        }
+        // The earliest pending event sits in the first occupied slot of
+        // L0 *or* of L1: an event filed into L1 under an older cursor
+        // can precede an L0 event inserted later (pop's scatter-first
+        // rule covers the same case), so compare both levels.
+        let l0_min = occ_next(&self.l0_occ, (self.cursor & SLOT_MASK) as usize).and_then(|off| {
+            let idx = ((self.cursor + off) & SLOT_MASK) as usize;
+            self.l0[idx].iter().map(|e| e.at).min()
+        });
+        let cursor1 = self.cursor >> 8;
+        let l1_min = occ_next(&self.l1_occ, (cursor1 & SLOT_MASK) as usize).and_then(|off| {
+            let idx = ((cursor1 + off) & SLOT_MASK) as usize;
+            self.l1[idx].iter().map(|e| e.at).min()
+        });
+        match (l0_min, l1_min) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (Some(a), None) => Some(a),
+            (None, Some(b)) => Some(b),
+            // Far timers are strictly beyond the L1 window by invariant 4.
+            (None, None) => self.far.peek().map(|e| e.at),
+        }
+    }
+
+    /// The full `(time, seq)` key of the earliest pending event, without
+    /// removing it.
+    ///
+    /// Takes `&mut self` because the wheel may advance its internal
+    /// levels to surface the front event (storage movement only — the
+    /// pop sequence is unaffected). External-frontier merges compare
+    /// this key against their own candidates to decide which source pops
+    /// next; unlike [`EventQueue::peek_time`], the seq resolves
+    /// same-instant ties exactly.
+    pub fn peek_key(&mut self) -> Option<(SimTime, u64)> {
+        self.settle()
+    }
+
+    /// Number of pending events.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// `true` if no events are pending.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Drops all pending events and resets the queue to a clean
+    /// deterministic state: the FIFO tie-break counter restarts at 0 and
+    /// the cursor rewinds to the time origin, so a reused queue behaves
+    /// exactly like a freshly built one. Allocated storage is kept for
+    /// reuse; see [`EventQueue::reset`] to also drop it.
+    pub fn clear(&mut self) {
+        self.cursor = 0;
+        self.bucket.clear();
+        for v in &mut self.l0 {
+            v.clear();
+        }
+        self.l0_occ = [0; SLOTS / 64];
+        for v in &mut self.l1 {
+            v.clear();
+        }
+        self.l1_occ = [0; SLOTS / 64];
+        self.far.clear();
+        self.len = 0;
+        self.seq = 0;
+    }
+
+    /// Rebuilds the queue from scratch: like [`EventQueue::clear`], but
+    /// also discards all retained storage. Use when recycling a queue
+    /// across simulations of very different sizes.
+    pub fn reset(&mut self) {
+        *self = Self::new();
     }
 
     /// Files one entry into the level its slot falls in, relative to the
@@ -242,11 +335,6 @@ impl<E> Wheel<E> {
                 self.far.push(e);
             }
         }
-    }
-
-    fn schedule(&mut self, e: Entry<E>) {
-        self.len += 1;
-        self.place(e);
     }
 
     /// Moves the cursor forward, re-filing far timers that the larger
@@ -328,218 +416,6 @@ impl<E> Wheel<E> {
             }
         }
     }
-
-    fn pop(&mut self) -> Option<(SimTime, u64, E)> {
-        self.settle()?;
-        let e = self.bucket.pop().expect("settled wheel has a front event");
-        self.len -= 1;
-        Some((e.at, e.seq, e.payload))
-    }
-
-    fn peek_time(&self) -> Option<SimTime> {
-        if let Some(e) = self.bucket.last() {
-            return Some(e.at);
-        }
-        // The earliest pending event sits in the first occupied slot of
-        // L0 *or* of L1: an event filed into L1 under an older cursor
-        // can precede an L0 event inserted later (pop's scatter-first
-        // rule covers the same case), so compare both levels.
-        let l0_min = occ_next(&self.l0_occ, (self.cursor & SLOT_MASK) as usize).and_then(|off| {
-            let idx = ((self.cursor + off) & SLOT_MASK) as usize;
-            self.l0[idx].iter().map(|e| e.at).min()
-        });
-        let cursor1 = self.cursor >> 8;
-        let l1_min = occ_next(&self.l1_occ, (cursor1 & SLOT_MASK) as usize).and_then(|off| {
-            let idx = ((cursor1 + off) & SLOT_MASK) as usize;
-            self.l1[idx].iter().map(|e| e.at).min()
-        });
-        match (l0_min, l1_min) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (Some(a), None) => Some(a),
-            (None, Some(b)) => Some(b),
-            // Far timers are strictly beyond the L1 window by invariant 4.
-            (None, None) => self.far.peek().map(|e| e.at),
-        }
-    }
-
-    /// Drops all pending events and rewinds the cursor to the origin.
-    fn clear(&mut self) {
-        self.cursor = 0;
-        self.bucket.clear();
-        for v in &mut self.l0 {
-            v.clear();
-        }
-        self.l0_occ = [0; SLOTS / 64];
-        for v in &mut self.l1 {
-            v.clear();
-        }
-        self.l1_occ = [0; SLOTS / 64];
-        self.far.clear();
-        self.len = 0;
-    }
-}
-
-impl<E> EventQueue<E> {
-    /// Creates an empty queue on the process-default backend
-    /// ([`default_backend`]).
-    #[must_use]
-    pub fn new() -> Self {
-        Self::with_backend(default_backend())
-    }
-
-    /// Creates an empty queue pre-sized for `cap` pending events, on the
-    /// process-default backend.
-    ///
-    /// Simulations whose pending-event count has a knowable upper bound
-    /// (e.g. one timer per component plus one completion per in-flight
-    /// request) can pre-size once and keep the hot schedule/pop loop
-    /// (nearly) allocation-free.
-    #[must_use]
-    pub fn with_capacity(cap: usize) -> Self {
-        Self::with_backend_and_capacity(default_backend(), cap)
-    }
-
-    /// Creates an empty queue on an explicit backend.
-    #[must_use]
-    pub fn with_backend(backend: QueueBackend) -> Self {
-        Self::with_backend_and_capacity(backend, 0)
-    }
-
-    /// Creates an empty queue on an explicit backend, pre-sized for
-    /// `cap` pending events.
-    #[must_use]
-    pub fn with_backend_and_capacity(backend: QueueBackend, cap: usize) -> Self {
-        let imp = match backend {
-            QueueBackend::Wheel => Imp::Wheel(Wheel::new(cap)),
-            QueueBackend::Heap => Imp::Heap(BinaryHeap::with_capacity(cap)),
-        };
-        EventQueue { imp, seq: 0 }
-    }
-
-    /// Which backend this queue runs on.
-    #[must_use]
-    pub fn backend(&self) -> QueueBackend {
-        match &self.imp {
-            Imp::Wheel(_) => QueueBackend::Wheel,
-            Imp::Heap(_) => QueueBackend::Heap,
-        }
-    }
-
-    /// Number of events the queue can hold without reallocating its main
-    /// storage (the heap, or the wheel's drain bucket + far heap; the
-    /// wheel's slot lists grow independently on demand).
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        match &self.imp {
-            Imp::Wheel(w) => w.bucket.capacity() + w.far.capacity(),
-            Imp::Heap(h) => h.capacity(),
-        }
-    }
-
-    /// Schedules `payload` to fire at instant `at`, returning the FIFO
-    /// tie-break seq assigned to it (callers tracking the queue's front
-    /// key can min-update their cache without a peek).
-    pub fn schedule(&mut self, at: SimTime, payload: E) -> u64 {
-        let seq = self.alloc_seq();
-        let entry = Entry { at, seq, payload };
-        match &mut self.imp {
-            Imp::Wheel(w) => w.schedule(entry),
-            Imp::Heap(h) => h.push(entry),
-        }
-        seq
-    }
-
-    /// Claims the next FIFO tie-break sequence number without
-    /// scheduling anything.
-    ///
-    /// Engines that keep some event classes *outside* the queue (e.g. a
-    /// tournament merge over per-source frontiers) draw their keys from
-    /// here so queue events and merged events share one total
-    /// `(time, seq)` order — a merged engine pops in exactly the order a
-    /// queue-only engine would.
-    pub fn alloc_seq(&mut self) -> u64 {
-        let seq = self.seq;
-        self.seq += 1;
-        seq
-    }
-
-    /// Removes and returns the earliest event, or `None` if empty.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.pop_keyed().map(|(at, _, payload)| (at, payload))
-    }
-
-    /// Removes and returns the earliest event together with its FIFO
-    /// tie-break sequence number (the queue's total order is
-    /// `(time, seq)`). See [`EventQueue::alloc_seq`] for how external
-    /// event sources join that order.
-    pub fn pop_keyed(&mut self) -> Option<(SimTime, u64, E)> {
-        match &mut self.imp {
-            Imp::Wheel(w) => w.pop(),
-            Imp::Heap(h) => h.pop().map(|e| (e.at, e.seq, e.payload)),
-        }
-    }
-
-    /// The instant of the earliest pending event.
-    #[must_use]
-    pub fn peek_time(&self) -> Option<SimTime> {
-        match &self.imp {
-            Imp::Wheel(w) => w.peek_time(),
-            Imp::Heap(h) => h.peek().map(|e| e.at),
-        }
-    }
-
-    /// The full `(time, seq)` key of the earliest pending event, without
-    /// removing it.
-    ///
-    /// Takes `&mut self` because the wheel backend may advance its
-    /// internal levels to surface the front event (storage movement
-    /// only — the pop sequence is unaffected). External-frontier merges
-    /// compare this key against their own candidates to decide which
-    /// source pops next; unlike [`EventQueue::peek_time`], the seq
-    /// resolves same-instant ties exactly.
-    pub fn peek_key(&mut self) -> Option<(SimTime, u64)> {
-        match &mut self.imp {
-            Imp::Wheel(w) => w.settle(),
-            Imp::Heap(h) => h.peek().map(Entry::key),
-        }
-    }
-
-    /// Number of pending events.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        match &self.imp {
-            Imp::Wheel(w) => w.len,
-            Imp::Heap(h) => h.len(),
-        }
-    }
-
-    /// `true` if no events are pending.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drops all pending events and resets the queue to a clean
-    /// deterministic state: the FIFO tie-break counter restarts at 0 and
-    /// (on the wheel backend) the cursor rewinds to the time origin, so
-    /// a reused queue behaves exactly like a freshly built one.
-    /// Allocated storage is kept for reuse; see [`EventQueue::reset`] to
-    /// also drop it.
-    pub fn clear(&mut self) {
-        match &mut self.imp {
-            Imp::Wheel(w) => w.clear(),
-            Imp::Heap(h) => h.clear(),
-        }
-        self.seq = 0;
-    }
-
-    /// Rebuilds the queue from scratch on its current backend: like
-    /// [`EventQueue::clear`], but also discards all retained storage.
-    /// Use when recycling a queue across simulations of very different
-    /// sizes.
-    pub fn reset(&mut self) {
-        *self = Self::with_backend(self.backend());
-    }
 }
 
 impl<E> Default for EventQueue<E> {
@@ -553,13 +429,43 @@ mod tests {
     use super::*;
     use crate::{DetRng, SimDuration};
 
-    const BACKENDS: [QueueBackend; 2] = [QueueBackend::Wheel, QueueBackend::Heap];
+    /// Reference model for the wheel: a plain min-heap on `(time, seq)`
+    /// with the same FIFO tie-break counter.
+    #[derive(Default)]
+    struct Model {
+        heap: BinaryHeap<Reverse<(SimTime, u64)>>,
+        payloads: std::collections::HashMap<u64, u64>,
+        seq: u64,
+    }
+
+    impl Model {
+        fn schedule(&mut self, at: SimTime, payload: u64) {
+            self.heap.push(Reverse((at, self.seq)));
+            self.payloads.insert(self.seq, payload);
+            self.seq += 1;
+        }
+
+        fn pop(&mut self) -> Option<(SimTime, u64)> {
+            let Reverse((at, seq)) = self.heap.pop()?;
+            Some((at, self.payloads.remove(&seq).expect("payload filed")))
+        }
+
+        fn peek_time(&self) -> Option<SimTime> {
+            self.heap.peek().map(|Reverse((at, _))| *at)
+        }
+
+        fn len(&self) -> usize {
+            self.heap.len()
+        }
+    }
 
     #[test]
-    fn with_capacity_pre_sizes_heap_without_growth() {
-        let mut q = EventQueue::<u64>::with_backend_and_capacity(QueueBackend::Heap, 64);
+    fn with_capacity_pre_sizes_wheel_without_growth() {
+        let mut q = EventQueue::<u64>::with_capacity(64);
         let cap = q.capacity();
         assert!(cap >= 64);
+        // Same-slot events land in the drain bucket; far timers in the
+        // overflow heap. Neither may reallocate within the bound.
         for i in 0..64u64 {
             q.schedule(SimTime::from_nanos(i), i);
         }
@@ -569,143 +475,124 @@ mod tests {
             "no reallocation within the pre-sized bound"
         );
         assert_eq!(q.len(), 64);
-    }
-
-    #[test]
-    fn default_backend_is_wheel() {
-        assert_eq!(EventQueue::<u8>::new().backend(), QueueBackend::Wheel);
+        assert_eq!(q.bucket.len(), 64, "same-slot events fill the bucket");
+        assert!(q.far.is_empty());
     }
 
     #[test]
     fn pops_in_time_order() {
-        for backend in BACKENDS {
-            let mut q = EventQueue::with_backend(backend);
-            q.schedule(SimTime::from_nanos(30), 3);
-            q.schedule(SimTime::from_nanos(10), 1);
-            q.schedule(SimTime::from_nanos(20), 2);
-            assert_eq!(q.pop(), Some((SimTime::from_nanos(10), 1)));
-            assert_eq!(q.pop(), Some((SimTime::from_nanos(20), 2)));
-            assert_eq!(q.pop(), Some((SimTime::from_nanos(30), 3)));
-            assert_eq!(q.pop(), None);
-        }
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_nanos(30), 3);
+        q.schedule(SimTime::from_nanos(10), 1);
+        q.schedule(SimTime::from_nanos(20), 2);
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(10), 1)));
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(20), 2)));
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(30), 3)));
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
     fn ties_break_fifo() {
-        for backend in BACKENDS {
-            let mut q = EventQueue::with_backend(backend);
-            for i in 0..100 {
-                q.schedule(SimTime::from_nanos(7), i);
-            }
-            for i in 0..100 {
-                assert_eq!(q.pop().unwrap().1, i);
-            }
+        let mut q = EventQueue::new();
+        for i in 0..100 {
+            q.schedule(SimTime::from_nanos(7), i);
+        }
+        for i in 0..100 {
+            assert_eq!(q.pop().unwrap().1, i);
         }
     }
 
     #[test]
     fn peek_does_not_remove() {
-        for backend in BACKENDS {
-            let mut q = EventQueue::with_backend(backend);
-            q.schedule(SimTime::from_nanos(42), ());
-            assert_eq!(q.peek_time(), Some(SimTime::from_nanos(42)));
-            assert_eq!(q.len(), 1);
-            assert!(!q.is_empty());
-        }
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_nanos(42), ());
+        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(42)));
+        assert_eq!(q.len(), 1);
+        assert!(!q.is_empty());
     }
 
     #[test]
     fn peek_sees_far_timers_and_l1() {
-        for backend in BACKENDS {
-            let mut q = EventQueue::with_backend(backend);
-            q.schedule(SimTime::from_secs(5), 'f'); // far heap
-            assert_eq!(q.peek_time(), Some(SimTime::from_secs(5)));
-            q.schedule(SimTime::from_millis(3), 'm'); // L1 range
-            assert_eq!(q.peek_time(), Some(SimTime::from_millis(3)));
-            q.schedule(SimTime::from_micros(9), 'n'); // L0 range
-            assert_eq!(q.peek_time(), Some(SimTime::from_micros(9)));
-            assert_eq!(q.pop().unwrap().1, 'n');
-            assert_eq!(q.pop().unwrap().1, 'm');
-            assert_eq!(q.pop().unwrap().1, 'f');
-        }
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_secs(5), 'f'); // far heap
+        assert_eq!(q.peek_time(), Some(SimTime::from_secs(5)));
+        q.schedule(SimTime::from_millis(3), 'm'); // L1 range
+        assert_eq!(q.peek_time(), Some(SimTime::from_millis(3)));
+        q.schedule(SimTime::from_micros(9), 'n'); // L0 range
+        assert_eq!(q.peek_time(), Some(SimTime::from_micros(9)));
+        assert_eq!(q.pop().unwrap().1, 'n');
+        assert_eq!(q.pop().unwrap().1, 'm');
+        assert_eq!(q.pop().unwrap().1, 'f');
     }
 
     #[test]
     fn clear_empties_queue_and_resets_fifo_seq() {
-        for backend in BACKENDS {
-            let mut q = EventQueue::with_backend(backend);
-            q.schedule(SimTime::from_nanos(1), 1);
-            q.schedule(SimTime::from_nanos(2), 2);
-            q.clear();
-            assert!(q.is_empty());
-            assert_eq!(q.pop(), None);
-            assert_eq!(q.seq, 0, "clear() must rewind the tie-break counter");
-            // A reused queue behaves exactly like a fresh one.
-            q.schedule(SimTime::from_nanos(7), 10);
-            q.schedule(SimTime::from_nanos(7), 11);
-            assert_eq!(q.pop(), Some((SimTime::from_nanos(7), 10)));
-            assert_eq!(q.pop(), Some((SimTime::from_nanos(7), 11)));
-        }
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_nanos(1), 1);
+        q.schedule(SimTime::from_nanos(2), 2);
+        q.clear();
+        assert!(q.is_empty());
+        assert_eq!(q.pop(), None);
+        assert_eq!(q.seq, 0, "clear() must rewind the tie-break counter");
+        // A reused queue behaves exactly like a fresh one.
+        q.schedule(SimTime::from_nanos(7), 10);
+        q.schedule(SimTime::from_nanos(7), 11);
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(7), 10)));
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(7), 11)));
     }
 
     #[test]
     fn reset_rebuilds_pristine_state() {
-        for backend in BACKENDS {
-            let mut q = EventQueue::with_backend_and_capacity(backend, 512);
-            for i in 0..1000u64 {
-                q.schedule(SimTime::from_micros(i * 37), i);
-            }
-            for _ in 0..500 {
-                q.pop();
-            }
-            q.reset();
-            assert!(q.is_empty());
-            assert_eq!(q.backend(), backend);
-            assert_eq!(q.seq, 0);
-            q.schedule(SimTime::from_nanos(3), 99);
-            assert_eq!(q.pop(), Some((SimTime::from_nanos(3), 99)));
+        let mut q = EventQueue::with_capacity(512);
+        for i in 0..1000u64 {
+            q.schedule(SimTime::from_micros(i * 37), i);
         }
+        for _ in 0..500 {
+            q.pop();
+        }
+        q.reset();
+        assert!(q.is_empty());
+        assert_eq!(q.seq, 0);
+        assert_eq!(q.cursor, 0);
+        q.schedule(SimTime::from_nanos(3), 99);
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(3), 99)));
     }
 
     #[test]
     fn interleaved_schedule_and_pop_stay_ordered() {
-        for backend in BACKENDS {
-            let mut q = EventQueue::with_backend(backend);
-            q.schedule(SimTime::from_nanos(5), 'a');
-            q.schedule(SimTime::from_nanos(15), 'c');
-            assert_eq!(q.pop().unwrap().1, 'a');
-            q.schedule(SimTime::from_nanos(10), 'b');
-            assert_eq!(q.pop().unwrap().1, 'b');
-            assert_eq!(q.pop().unwrap().1, 'c');
-        }
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_nanos(5), 'a');
+        q.schedule(SimTime::from_nanos(15), 'c');
+        assert_eq!(q.pop().unwrap().1, 'a');
+        q.schedule(SimTime::from_nanos(10), 'b');
+        assert_eq!(q.pop().unwrap().1, 'b');
+        assert_eq!(q.pop().unwrap().1, 'c');
     }
 
     #[test]
     fn same_instant_reschedule_from_handler_pops_after_pending() {
         // An event scheduled for "now" while draining that instant must
         // pop after events already pending at the same instant.
-        for backend in BACKENDS {
-            let mut q = EventQueue::with_backend(backend);
-            let t = SimTime::from_micros(50);
-            q.schedule(t, 0);
-            q.schedule(t, 1);
-            assert_eq!(q.pop(), Some((t, 0)));
-            q.schedule(t, 2); // "handler" re-arms at the same instant
-            assert_eq!(q.pop(), Some((t, 1)));
-            assert_eq!(q.pop(), Some((t, 2)));
-        }
+        let mut q = EventQueue::new();
+        let t = SimTime::from_micros(50);
+        q.schedule(t, 0);
+        q.schedule(t, 1);
+        assert_eq!(q.pop(), Some((t, 0)));
+        q.schedule(t, 2); // "handler" re-arms at the same instant
+        assert_eq!(q.pop(), Some((t, 1)));
+        assert_eq!(q.pop(), Some((t, 2)));
     }
 
     /// The guarantee everything rests on: for arbitrary interleavings of
     /// schedules and pops — including same-instant ties, far timers, and
     /// re-arms at the current instant — the wheel pops the exact
-    /// sequence the reference heap pops.
+    /// sequence the binary-heap model pops.
     #[test]
-    fn wheel_matches_heap_on_randomized_workloads() {
+    fn wheel_matches_model_on_randomized_workloads() {
         for seed in 0..8u64 {
             let mut rng = DetRng::new(0xC0FFEE ^ seed);
-            let mut wheel = EventQueue::with_backend(QueueBackend::Wheel);
-            let mut heap = EventQueue::with_backend(QueueBackend::Heap);
+            let mut wheel = EventQueue::new();
+            let mut model = Model::default();
             let mut now = SimTime::ZERO;
             let mut next_payload = 0u64;
             for _ in 0..20_000 {
@@ -720,25 +607,23 @@ mod tests {
                     };
                     let at = now + SimDuration::from_nanos(offset);
                     wheel.schedule(at, next_payload);
-                    heap.schedule(at, next_payload);
+                    model.schedule(at, next_payload);
                     next_payload += 1;
                 } else {
                     let w = wheel.pop();
-                    let h = heap.pop();
-                    assert_eq!(w, h, "seed {seed}: wheel diverged from heap");
+                    assert_eq!(w, model.pop(), "seed {seed}: wheel diverged from model");
                     if let Some((t, _)) = w {
                         assert!(t >= now, "time went backwards");
                         now = t;
                     }
                 }
-                assert_eq!(wheel.len(), heap.len());
-                assert_eq!(wheel.peek_time(), heap.peek_time());
+                assert_eq!(wheel.len(), model.len());
+                assert_eq!(wheel.peek_time(), model.peek_time());
             }
             // Drain both to the end.
             loop {
                 let w = wheel.pop();
-                let h = heap.pop();
-                assert_eq!(w, h, "seed {seed}: drain diverged");
+                assert_eq!(w, model.pop(), "seed {seed}: drain diverged");
                 if w.is_none() {
                     break;
                 }
@@ -749,22 +634,22 @@ mod tests {
     /// Monotone-advancing variant that exercises L1 scatter and far-heap
     /// rebasing heavily: long quiet gaps force the cursor to jump.
     #[test]
-    fn wheel_matches_heap_across_long_gaps() {
+    fn wheel_matches_model_across_long_gaps() {
         let mut rng = DetRng::new(42);
-        let mut wheel = EventQueue::with_backend(QueueBackend::Wheel);
-        let mut heap = EventQueue::with_backend(QueueBackend::Heap);
+        let mut wheel = EventQueue::new();
+        let mut model = Model::default();
         let mut now = SimTime::ZERO;
         for round in 0..200 {
             // A burst of events spread across all three levels...
             for _ in 0..rng.below(40) + 1 {
                 let at = now + SimDuration::from_nanos(rng.below(200_000_000));
                 wheel.schedule(at, round);
-                heap.schedule(at, round);
+                model.schedule(at, round);
             }
             // ...then drain most of them, letting time leap forward.
             for _ in 0..rng.below(45) {
                 let w = wheel.pop();
-                assert_eq!(w, heap.pop(), "round {round}");
+                assert_eq!(w, model.pop(), "round {round}");
                 match w {
                     Some((t, _)) => now = t,
                     None => break,
@@ -773,7 +658,7 @@ mod tests {
         }
         loop {
             let w = wheel.pop();
-            assert_eq!(w, heap.pop());
+            assert_eq!(w, model.pop());
             if w.is_none() {
                 break;
             }

@@ -59,7 +59,7 @@ use std::cell::{Cell, RefCell};
 /// | `Complete` | request | issue→complete latency (ns) | op |
 /// | `Fail` | request | retries consumed | — |
 /// | `CfgDevice` | — | max queue depth | parallel units |
-/// | `CfgSched` | — | scheduler kind (0 none, 1 mq-dl, 2 bfq, 3 kyber) | — |
+/// | `CfgSched` | — | scheduler kind (0 none, 1 mq-dl, 2 bfq; 3 reserved) | — |
 /// | `CfgIoMax` | bucket (0 rbps, 1 wbps, 2 riops, 3 wiops) | limit | — |
 /// | `RunEnd` | — | — | — |
 ///

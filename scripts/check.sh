@@ -99,7 +99,7 @@ rm -rf "$shard_dir"
 # read timings.json from the most recent figures run, so the fig4+q10
 # regeneration must come right before it (the fleet_scale grid above
 # has much heavier cells and would skew both).
-echo "==> perf snapshot check (>10% regression against BENCH_pr7.json/BENCH_pr9.json fails; includes the arena-vs-map io.cost tick gate, the merged-vs-legacy engine gate, and the 64k-tenant cell budget + >=3x-vs-PR8 gates)"
+echo "==> perf snapshot check (>10% regression against BENCH_pr7.json/BENCH_pr9.json fails; includes the absolute io.cost tick gates and the 64k-tenant cell budget + >=3x-vs-PR8 gates)"
 ./target/release/figures --smoke --no-cache fig4 q10 > /dev/null
 ./target/release/perfsnap --check
 

@@ -7,7 +7,7 @@
 //!   knobs, desiderata experiments, Table I derivation),
 //! * [`host`] — the simulated host machine,
 //! * [`cgroup`] — the cgroup-v2 hierarchy and knob grammars,
-//! * [`sched`] — MQ-Deadline / BFQ / Kyber scheduler models,
+//! * [`sched`] — none / MQ-Deadline / BFQ scheduler models,
 //! * [`qos`] — io.max / io.latency / io.cost controller models,
 //! * [`nvme`] — the NVMe SSD device model,
 //! * [`workload`] — the fio-like workload generator,
