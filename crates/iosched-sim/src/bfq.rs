@@ -17,8 +17,23 @@
 //!
 //! `low_latency` is modelled as disabled, matching the paper's setup
 //! (§III disables it because it re-prioritizes dynamically).
+//!
+//! **Backlog index.** Like the kernel's B-WF2Q+ (`bfq-wf2q.c`), which
+//! keeps backlogged entities in vtime-ordered rb-trees and takes the
+//! in-service one out, the model keeps an ordered set of
+//! `(vtime, GroupId)` keys. Invariant: a group is in the set exactly
+//! when its queue is non-empty and it is not in service, keyed by its
+//! current `vtime` (only the in-service group is served, so no other
+//! key goes stale). `insert` adds a group whose queue goes from empty
+//! to non-empty (after the catch-up to the global vtime), a new slice
+//! takes its group out, and an expired slice puts a still-backlogged
+//! group back. Picking the next group, `has_pending` and the idle timer
+//! then cost O(log backlogged) instead of a walk over every configured
+//! group, a dispatch inside a slice touches no index at all, and the
+//! set's order is the scan's order: smallest vtime, ties to the lowest
+//! `GroupId`.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 use blkio::{AccessPattern, GroupId, IoRequest};
 use serde::{Deserialize, Serialize};
@@ -64,11 +79,25 @@ struct GroupState {
     slice_consumed: u64,
 }
 
+/// Order-preserving `u64` encoding of a vtime: `a.total_cmp(&b)` and
+/// `vtime_key(a).cmp(&vtime_key(b))` always agree.
+fn vtime_key(v: f64) -> u64 {
+    let bits = v.to_bits();
+    if bits >> 63 == 0 {
+        bits | (1 << 63)
+    } else {
+        !bits
+    }
+}
+
 /// The BFQ scheduler model.
 #[derive(Debug)]
 pub struct Bfq {
     config: BfqConfig,
     groups: HashMap<GroupId, GroupState>,
+    /// `(vtime_key(vtime), id)` of every group with a non-empty queue,
+    /// except the in-service one.
+    backlog: BTreeSet<(u64, GroupId)>,
     in_service: Option<GroupId>,
     idle_until: Option<SimTime>,
     slice_started: SimTime,
@@ -82,6 +111,7 @@ impl Bfq {
         Bfq {
             config,
             groups: HashMap::new(),
+            backlog: BTreeSet::new(),
             in_service: None,
             idle_until: None,
             slice_started: SimTime::ZERO,
@@ -94,14 +124,6 @@ impl Bfq {
             weight: 100,
             ..GroupState::default()
         })
-    }
-
-    fn pick_next(&self) -> Option<GroupId> {
-        self.groups
-            .iter()
-            .filter(|(_, g)| !g.queue.is_empty())
-            .min_by(|(ia, a), (ib, b)| a.vtime.total_cmp(&b.vtime).then_with(|| ia.cmp(ib)))
-            .map(|(&id, _)| id)
     }
 
     fn serve_from(&mut self, id: GroupId, now: SimTime) -> Option<IoRequest> {
@@ -126,17 +148,20 @@ impl Bfq {
     /// Queues a request.
     pub fn insert(&mut self, req: IoRequest, _now: SimTime) {
         let global_v = self.global_vtime;
-        let in_service = self.in_service;
-        let g = self.group_mut(req.group);
-        if g.queue.is_empty() {
+        let group = req.group;
+        let g = self.group_mut(group);
+        let was_idle = g.queue.is_empty();
+        if was_idle {
             // Catch up: an idle group must not bank virtual time.
             g.vtime = g.vtime.max(global_v);
         }
-        let group = req.group;
+        let key = (vtime_key(g.vtime), group);
         g.queue.push_back(req);
-        // The awaited request arrived: stop idling and resume service.
-        if in_service == Some(group) {
+        if self.in_service == Some(group) {
+            // The awaited request arrived: stop idling and resume service.
             self.idle_until = None;
+        } else if was_idle {
+            self.backlog.insert(key);
         }
     }
 
@@ -171,8 +196,12 @@ impl Bfq {
             // Slice expired (budget or idle timeout): release the device.
             self.in_service = None;
             self.idle_until = None;
+            if has_work {
+                let vtime = self.groups[&current].vtime;
+                self.backlog.insert((vtime_key(vtime), current));
+            }
         }
-        let next = self.pick_next()?;
+        let (_, next) = self.backlog.pop_first()?;
         self.global_vtime = self.global_vtime.max(self.groups[&next].vtime);
         self.in_service = Some(next);
         self.slice_started = now;
@@ -182,21 +211,18 @@ impl Bfq {
 
     /// `true` if any request is queued.
     pub fn has_pending(&self) -> bool {
-        self.groups.values().any(|g| !g.queue.is_empty())
+        !self.backlog.is_empty()
+            || self
+                .in_service
+                .is_some_and(|id| !self.groups[&id].queue.is_empty())
     }
 
     /// The earliest instant at which `dispatch` might newly succeed
     /// while requests are pending.
     pub fn next_timer(&self, now: SimTime) -> Option<SimTime> {
         match (self.in_service, self.idle_until) {
-            (Some(current), Some(t)) if now < t => {
-                // A timer is only useful if someone else is waiting.
-                let others_pending = self
-                    .groups
-                    .iter()
-                    .any(|(&id, g)| id != current && !g.queue.is_empty());
-                others_pending.then_some(t)
-            }
+            // A timer is only useful if someone else is waiting.
+            (Some(_), Some(t)) if now < t => (!self.backlog.is_empty()).then_some(t),
             _ => None,
         }
     }
@@ -221,6 +247,252 @@ impl Bfq {
 mod tests {
     use super::*;
     use crate::test_util::{req, seq_req};
+    use proptest::prelude::*;
+    use proptest::TestRng;
+
+    /// Reference model: BFQ that finds the next group, pending work and
+    /// waiting groups by scanning every configured group. Dispatch logic
+    /// is otherwise `Bfq`'s; the backlog index must never change a
+    /// decision it makes.
+    struct ScanBfq {
+        config: BfqConfig,
+        groups: HashMap<GroupId, GroupState>,
+        in_service: Option<GroupId>,
+        idle_until: Option<SimTime>,
+        slice_started: SimTime,
+        global_vtime: f64,
+    }
+
+    impl ScanBfq {
+        fn new(config: BfqConfig) -> Self {
+            ScanBfq {
+                config,
+                groups: HashMap::new(),
+                in_service: None,
+                idle_until: None,
+                slice_started: SimTime::ZERO,
+                global_vtime: 0.0,
+            }
+        }
+
+        fn group_mut(&mut self, id: GroupId) -> &mut GroupState {
+            self.groups.entry(id).or_insert_with(|| GroupState {
+                weight: 100,
+                ..GroupState::default()
+            })
+        }
+
+        fn pick_next(&self) -> Option<GroupId> {
+            self.groups
+                .iter()
+                .filter(|(_, g)| !g.queue.is_empty())
+                .min_by(|(ia, a), (ib, b)| a.vtime.total_cmp(&b.vtime).then_with(|| ia.cmp(ib)))
+                .map(|(&id, _)| id)
+        }
+
+        fn serve_from(&mut self, id: GroupId, now: SimTime) -> Option<IoRequest> {
+            let slice_idle = self.config.slice_idle;
+            let g = self.groups.get_mut(&id)?;
+            let req = g.queue.pop_front()?;
+            g.vtime += f64::from(req.len) / f64::from(g.weight.max(1));
+            g.slice_consumed += u64::from(req.len);
+            if g.queue.is_empty()
+                && !slice_idle.is_zero()
+                && req.pattern == AccessPattern::Sequential
+            {
+                self.idle_until = Some(now + slice_idle);
+            } else {
+                self.idle_until = None;
+            }
+            Some(req)
+        }
+
+        fn insert(&mut self, req: IoRequest) {
+            let global_v = self.global_vtime;
+            let in_service = self.in_service;
+            let g = self.group_mut(req.group);
+            if g.queue.is_empty() {
+                g.vtime = g.vtime.max(global_v);
+            }
+            let group = req.group;
+            g.queue.push_back(req);
+            if in_service == Some(group) {
+                self.idle_until = None;
+            }
+        }
+
+        fn dispatch(&mut self, now: SimTime) -> Option<IoRequest> {
+            if let Some(current) = self.in_service {
+                let g = self.groups.get(&current)?;
+                let has_work = !g.queue.is_empty();
+                let budget_spent = g.slice_consumed >= self.config.budget_bytes;
+                let timed_out =
+                    now.saturating_since(self.slice_started) >= self.config.slice_timeout;
+                if has_work && !budget_spent && !timed_out {
+                    return self.serve_from(current, now);
+                }
+                if timed_out {
+                    self.in_service = None;
+                    self.idle_until = None;
+                }
+                if !has_work && self.idle_until.is_some_and(|t| now < t) {
+                    return None;
+                }
+                self.in_service = None;
+                self.idle_until = None;
+            }
+            let next = self.pick_next()?;
+            self.global_vtime = self.global_vtime.max(self.groups[&next].vtime);
+            self.in_service = Some(next);
+            self.slice_started = now;
+            self.group_mut(next).slice_consumed = 0;
+            self.serve_from(next, now)
+        }
+
+        fn has_pending(&self) -> bool {
+            self.groups.values().any(|g| !g.queue.is_empty())
+        }
+
+        fn next_timer(&self, now: SimTime) -> Option<SimTime> {
+            match (self.in_service, self.idle_until) {
+                (Some(current), Some(t)) if now < t => {
+                    let others_pending = self
+                        .groups
+                        .iter()
+                        .any(|(&id, g)| id != current && !g.queue.is_empty());
+                    others_pending.then_some(t)
+                }
+                _ => None,
+            }
+        }
+
+        fn set_group_weight(&mut self, group: GroupId, weight: u32) {
+            self.group_mut(group).weight = weight.clamp(1, 1_000);
+        }
+    }
+
+    /// Rebuilds the backlog index from the group table.
+    fn expected_backlog(s: &Bfq) -> BTreeSet<(u64, GroupId)> {
+        s.groups
+            .iter()
+            .filter(|&(&id, g)| !g.queue.is_empty() && s.in_service != Some(id))
+            .map(|(&id, g)| (vtime_key(g.vtime), id))
+            .collect()
+    }
+
+    #[test]
+    fn vtime_key_orders_like_total_cmp() {
+        let vs = [
+            f64::NEG_INFINITY,
+            -1.0e300,
+            -1.5,
+            -f64::MIN_POSITIVE,
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE,
+            1.0,
+            1.0 + f64::EPSILON,
+            4096.0 / 7.0,
+            1.0e300,
+            f64::INFINITY,
+        ];
+        for a in vs {
+            for b in vs {
+                assert_eq!(
+                    vtime_key(a).cmp(&vtime_key(b)),
+                    a.total_cmp(&b),
+                    "{a} vs {b}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn equal_vtime_goes_to_the_lowest_group_id() {
+        let mut s = Bfq::new(no_idle_config());
+        for (id, group) in [(0, 7), (1, 3), (2, 5)] {
+            s.insert(req(id, group, 4096, SimTime::ZERO), SimTime::ZERO);
+        }
+        let order: Vec<usize> = (0..3)
+            .map(|_| s.dispatch(SimTime::ZERO).unwrap().group.index())
+            .collect();
+        assert_eq!(order, [3, 5, 7]);
+        assert!(!s.has_pending());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn backlog_index_matches_the_scan_model(
+            groups in prop_oneof![1usize..=8, 9usize..=5000],
+            seed in 0u64..=u64::MAX,
+            idle in proptest::bool::ANY,
+            budget in prop_oneof![Just(8192u64), Just(64 * 1024), Just(2 * 1024 * 1024)],
+            timeout_ms in prop_oneof![Just(1u64), Just(10), Just(125)],
+            steps in 200usize..1500,
+        ) {
+            let config = BfqConfig {
+                slice_idle: SimDuration::from_millis(if idle { 8 } else { 0 }),
+                budget_bytes: budget,
+                slice_timeout: SimDuration::from_millis(timeout_ms),
+                ..BfqConfig::default()
+            };
+            let mut fast = Bfq::new(config);
+            let mut scan = ScanBfq::new(config);
+            let mut rng = TestRng::from_seed(seed);
+            // Most groups get an explicit weight; the rest keep the default.
+            for g in 1..=groups {
+                if rng.below(8) != 0 {
+                    let w = 1 + rng.below(1000) as u32;
+                    fast.set_group_weight(GroupId(g), w);
+                    scan.set_group_weight(GroupId(g), w);
+                }
+            }
+            // A small hot set carries most arrivals, like a fleet where
+            // ~10 % of tenants are active at once.
+            let hot = 1 + groups / 10;
+            let mut now = SimTime::ZERO;
+            for id in 0..steps as u64 {
+                now += SimDuration::from_micros(rng.below(3000));
+                if rng.below(3) != 0 {
+                    let pool = if rng.below(4) == 0 { groups } else { hot };
+                    let group = rng.below(pool as u64) as usize + 1;
+                    let len = [512u32, 4096, 65536, 1 << 20][rng.below(4) as usize];
+                    let r = if rng.below(2) == 0 {
+                        seq_req(id, group, len, now)
+                    } else {
+                        req(id, group, len, now)
+                    };
+                    fast.insert(r.clone(), now);
+                    scan.insert(r);
+                } else {
+                    let got = fast.dispatch(now).map(|r| r.id);
+                    let want = scan.dispatch(now).map(|r| r.id);
+                    prop_assert_eq!(got, want, "dispatch at step {}", id);
+                }
+                if rng.below(50) == 0 {
+                    let g = GroupId(1 + rng.below(groups as u64) as usize);
+                    let w = 1 + rng.below(1000) as u32;
+                    fast.set_group_weight(g, w);
+                    scan.set_group_weight(g, w);
+                }
+                prop_assert_eq!(fast.has_pending(), scan.has_pending(), "pending at step {}", id);
+                prop_assert_eq!(fast.next_timer(now), scan.next_timer(now), "timer at step {}", id);
+                if groups <= 64 {
+                    prop_assert_eq!(&fast.backlog, &expected_backlog(&fast));
+                }
+            }
+            // Drain: every queued request leaves in the same order.
+            while scan.has_pending() {
+                now += SimDuration::from_millis(1);
+                let got = fast.dispatch(now).map(|r| r.id);
+                let want = scan.dispatch(now).map(|r| r.id);
+                prop_assert_eq!(got, want, "drain dispatch");
+            }
+            prop_assert!(!fast.has_pending());
+        }
+    }
 
     fn no_idle_config() -> BfqConfig {
         BfqConfig {
