@@ -42,6 +42,16 @@ fn bench_histogram(c: &mut Criterion) {
             black_box(h.percentile_ns(0.99))
         });
     });
+    // A fleet tenant's whole life: a handful of completions, one summary.
+    c.bench_function("latency_histogram_fleet_tenant", |b| {
+        b.iter(|| {
+            let mut h = iostats::LatencyHistogram::new();
+            for us in [60u64, 85, 110, 140, 230, 480, 950, 1_900] {
+                h.record_ns(black_box(us * 1_000));
+            }
+            black_box(h.summary())
+        });
+    });
 }
 
 fn bench_device(c: &mut Criterion) {

@@ -945,21 +945,24 @@ mod tests {
 
     #[test]
     fn single_component_scenario_falls_back_to_sequential() {
-        let h = pinned_hierarchy(2);
-        let apps = (0..2)
-            .map(|i| {
-                AppSetup::new(
-                    JobSpec::lc_app(&format!("lc-{i}")).stop_by(SimTime::from_millis(20)),
-                    vec![DeviceId(0), DeviceId(1)],
-                )
-            })
-            .collect();
-        let devices = vec![DeviceSetup::flash(), DeviceSetup::flash()];
-        let sim = HostSim::build(HostConfig::with_cores(2), h, apps, devices);
-        let before = crate::stats::snapshot();
+        let build = || {
+            let h = pinned_hierarchy(2);
+            let apps = (0..2)
+                .map(|i| {
+                    AppSetup::new(
+                        JobSpec::lc_app(&format!("lc-{i}")).stop_by(SimTime::from_millis(20)),
+                        vec![DeviceId(0), DeviceId(1)],
+                    )
+                })
+                .collect();
+            let devices = vec![DeviceSetup::flash(), DeviceSetup::flash()];
+            HostSim::build(HostConfig::with_cores(2), h, apps, devices)
+        };
+        let sim = build();
+        assert_eq!(plan_components(&sim).len(), 1);
         let r = sim.run_sharded(SimTime::from_millis(20), 4);
-        let after = crate::stats::snapshot();
-        assert_eq!(after.sharded_runs, before.sharded_runs);
+        let seq = build().run(SimTime::from_millis(20));
+        assert_eq!(format!("{r:?}"), format!("{seq:?}"));
         assert!(r.apps.iter().all(|a| a.completed > 0));
     }
 }
