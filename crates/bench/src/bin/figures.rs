@@ -106,15 +106,18 @@
 //!
 //! # Crash-safe resume
 //!
-//! Every run appends completed cells (fingerprint, outcome, result
-//! rows) to an append-only journal at
+//! Every run appends completed cells (fingerprint, experiment, label,
+//! outcome, result rows) to an append-only journal at
 //! `target/isol-bench/journal/run.jsonl`, flushed per cell — a SIGKILL
 //! can at worst tear the final line, which the parser treats as a clean
 //! end of journal. `--resume` replays the journal of an interrupted run
 //! (same engine salt + fidelity): already-completed cells return their
 //! journaled rows without simulating, so the resumed run's CSVs and
 //! `timings.json` cell outcomes are byte-identical to an uninterrupted
-//! run. Without `--resume` the journal is truncated and started fresh.
+//! run. Before appending, a resumed run cuts a torn tail off the file,
+//! so its own records stay readable to a later `--resume`. Failed cells
+//! are not journaled; they run again on resume. Without `--resume` the
+//! journal is truncated and started fresh.
 //! Stale cache temp files (`*.tmp-<pid>` from killed runs) are swept at
 //! startup.
 

@@ -437,6 +437,9 @@ pub fn run_scenario(
         // running) and are never stored: with tracing on, probe
         // closures run, so timings would differ from untraced entries.
         let rows = run_traced_cell(label, scenario, until, capacity, extract);
+        if simcore::cancel::cancelled() {
+            return rows; // discarded by the runner; see below
+        }
         BYPASSED.fetch_add(1, Ordering::Relaxed);
         record_cell(experiment, label, started, CellOutcome::Bypass.as_str());
         return rows;
@@ -460,14 +463,7 @@ pub fn run_scenario(
     }
     let journal_done = |outcome: CellOutcome, rows: &[Vec<f64>]| {
         if let Some(fp) = &fp {
-            crate::journal::record_cell(
-                fp,
-                experiment,
-                label,
-                outcome.as_str(),
-                crate::runner::current_attempt(),
-                rows,
-            );
+            crate::journal::record_cell(fp, experiment, label, outcome.as_str(), rows);
         }
     };
     if faulted {
@@ -585,13 +581,16 @@ mod tests {
     #[test]
     fn store_then_load_round_trips() {
         let dir = temp_dir("roundtrip");
-        let rows = vec![vec![1.5, f64::INFINITY], vec![-0.0]];
+        let nan = f64::from_bits(0x7ff8_dead_beef_0001);
+        let rows = vec![vec![1.5, f64::INFINITY], vec![-0.0], vec![nan, 0.1 + 0.2]];
         store_rows(&dir, "spec-a", &rows).unwrap();
         let back = load_rows(&dir, "spec-a").expect("hit");
-        assert_eq!(back.len(), 2);
-        assert_eq!(back[0][0].to_bits(), 1.5f64.to_bits());
-        assert_eq!(back[0][1], f64::INFINITY);
-        assert_eq!(back[1][0].to_bits(), (-0.0f64).to_bits());
+        let bits = |rows: &[Vec<f64>]| -> Vec<Vec<u64>> {
+            rows.iter()
+                .map(|r| r.iter().map(|v| v.to_bits()).collect())
+                .collect()
+        };
+        assert_eq!(bits(&back), bits(&rows));
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -4,10 +4,11 @@
 //! (SIGKILL, OOM) should not lose the grid's progress. When the harness
 //! arms the journal ([`arm`]), every completed cell appends one
 //! self-checksummed JSONL line recording its **spec fingerprint** (the
-//! same content-addressed key as [`crate::cache`]), its outcome token,
-//! the attempt count, and its result rows in the exact hex-bits codec
-//! the cache uses. Failed cells append a `fail` line carrying the
-//! structured failure class (see [`crate::runner::FailureClass`]).
+//! same content-addressed key as [`crate::cache`]), its experiment and
+//! label, its outcome token, and its result rows in the exact hex-bits
+//! codec the cache uses. That is everything `--resume` reads; failed
+//! cells are not journaled (they simply run again on resume, and
+//! `failures.json` carries their class, attempts and message).
 //!
 //! # Crash safety
 //!
@@ -18,7 +19,10 @@
 //! journal ([`parse_journal`] stops there), so a killed run resumes
 //! from its last durable cell. Every line additionally carries an
 //! FNV-1a checksum over its own payload, so a torn line can never be
-//! mistaken for a complete one.
+//! mistaken for a complete one. Before a resumed run appends, the file
+//! is cut back to its durable prefix, so a torn tail never glues onto
+//! the resumed run's first record (which would hide every record after
+//! it from the next resume).
 //!
 //! # Resume byte-identity
 //!
@@ -31,6 +35,8 @@
 //! function of the rows, so a resumed run's CSVs and `timings.json`
 //! cell outcomes are byte-identical to an uninterrupted run's. Cells
 //! with no durable line (including previously failed ones) simply run.
+//! The experiment and label are checked on replay as a safety net over
+//! the fingerprint.
 //!
 //! The header line pins the engine salt and fidelity; a journal written
 //! by a different engine version or fidelity is discarded on resume
@@ -50,7 +56,7 @@ use simcore::fnv1a_64;
 pub const DEFAULT_DIR: &str = "target/isol-bench/journal";
 
 /// Journal-format magic; bump the `v` on layout changes.
-const MAGIC: &str = "isol-bench-run v1";
+const MAGIC: &str = "isol-bench-run v2";
 
 /// The journal file under `dir`.
 #[must_use]
@@ -70,8 +76,8 @@ pub struct Header {
 /// One durable journal record.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Record {
-    /// A completed cell: fingerprint, identity, outcome token, attempt
-    /// count, and bit-exact result rows.
+    /// A completed cell: fingerprint, identity, outcome token, and
+    /// bit-exact result rows.
     Cell {
         /// 32-hex spec fingerprint (the cache key).
         fp: String,
@@ -81,21 +87,8 @@ pub enum Record {
         label: String,
         /// Cache outcome token the original run reported.
         outcome: String,
-        /// Attempt on which the cell succeeded (1 = first try).
-        attempts: u32,
         /// Result rows.
         rows: Vec<Vec<f64>>,
-    },
-    /// A cell that exhausted its retry budget.
-    Fail {
-        /// Cell label.
-        label: String,
-        /// Failure-class token (`panic`, `timed_out`, …).
-        class: String,
-        /// Attempts consumed.
-        attempts: u32,
-        /// Stringified cause.
-        message: String,
     },
 }
 
@@ -156,17 +149,6 @@ fn take_str<'a>(rest: &'a str, key: &str) -> Option<(String, &'a str)> {
     Some((unescape(&rest[..end])?, &rest[end + 1..]))
 }
 
-/// Reads one `"key":<u64>` field, returning (value, rest).
-fn take_u64<'a>(rest: &'a str, key: &str) -> Option<(u64, &'a str)> {
-    let rest = rest.strip_prefix(&format!("\"{key}\":"))?;
-    let digits = rest.len() - rest.trim_start_matches(|c: char| c.is_ascii_digit()).len();
-    if digits == 0 {
-        return None;
-    }
-    let v: u64 = rest[..digits].parse().ok()?;
-    Some((v, &rest[digits..]))
-}
-
 /// Renders the header line.
 #[must_use]
 pub fn render_header(header: &Header) -> String {
@@ -183,6 +165,15 @@ pub fn parse_header(line: &str) -> Option<Header> {
     let rest = line.strip_prefix("{\"journal\":\"")?;
     let rest = rest.strip_prefix(MAGIC)?.strip_prefix("\",")?;
     let (salt_hex, rest) = take_str(rest, "salt")?;
+    // Only the canonical rendering: a case-flipped or zero-padded salt
+    // must not read as the same header.
+    let canonical = salt_hex.len() == 16
+        && salt_hex
+            .bytes()
+            .all(|b| b.is_ascii_digit() || (b'a'..=b'f').contains(&b));
+    if !canonical {
+        return None;
+    }
     let salt = u64::from_str_radix(&salt_hex, 16).ok()?;
     let rest = rest.strip_prefix(',')?;
     let (fidelity, rest) = take_str(rest, "fidelity")?;
@@ -194,34 +185,21 @@ pub fn parse_header(line: &str) -> Option<Header> {
 /// torn write can never parse as complete.
 #[must_use]
 pub fn render_record(record: &Record) -> String {
-    let body = match record {
-        Record::Cell {
-            fp,
-            experiment,
-            label,
-            outcome,
-            attempts,
-            rows,
-        } => format!(
-            "{{\"cell\":\"{}\",\"experiment\":\"{}\",\"label\":\"{}\",\"outcome\":\"{}\",\"attempts\":{attempts},\"rows\":\"{}\"",
-            escape(fp),
-            escape(experiment),
-            escape(label),
-            escape(outcome),
-            escape(&serde::rows::encode_rows(rows)),
-        ),
-        Record::Fail {
-            label,
-            class,
-            attempts,
-            message,
-        } => format!(
-            "{{\"fail\":\"{}\",\"class\":\"{}\",\"attempts\":{attempts},\"message\":\"{}\"",
-            escape(label),
-            escape(class),
-            escape(message),
-        ),
-    };
+    let Record::Cell {
+        fp,
+        experiment,
+        label,
+        outcome,
+        rows,
+    } = record;
+    let body = format!(
+        "{{\"cell\":\"{}\",\"experiment\":\"{}\",\"label\":\"{}\",\"outcome\":\"{}\",\"rows\":\"{}\"",
+        escape(fp),
+        escape(experiment),
+        escape(label),
+        escape(outcome),
+        escape(&serde::rows::encode_rows(rows)),
+    );
     format!("{body},\"ck\":\"{:016x}\"}}\n", fnv1a_64(body.as_bytes()))
 }
 
@@ -238,82 +216,57 @@ pub fn parse_record(line: &str) -> Option<Record> {
     if u64::from_str_radix(ck_hex, 16).ok()? != fnv1a_64(body.as_bytes()) {
         return None;
     }
-    if let Some(rest) = body.strip_prefix('{').filter(|r| r.starts_with("\"cell\"")) {
-        let (fp, rest) = take_str(rest, "cell")?;
-        let rest = rest.strip_prefix(',')?;
-        let (experiment, rest) = take_str(rest, "experiment")?;
-        let rest = rest.strip_prefix(',')?;
-        let (label, rest) = take_str(rest, "label")?;
-        let rest = rest.strip_prefix(',')?;
-        let (outcome, rest) = take_str(rest, "outcome")?;
-        let rest = rest.strip_prefix(',')?;
-        let (attempts, rest) = take_u64(rest, "attempts")?;
-        let rest = rest.strip_prefix(',')?;
-        let (rows_text, rest) = take_str(rest, "rows")?;
-        if !rest.is_empty() {
-            return None;
-        }
-        let rows = serde::rows::decode_rows(&rows_text)?;
-        Some(Record::Cell {
-            fp,
-            experiment,
-            label,
-            outcome,
-            attempts: u32::try_from(attempts).ok()?,
-            rows,
-        })
-    } else {
-        let rest = body.strip_prefix('{')?;
-        let (label, rest) = take_str(rest, "fail")?;
-        let rest = rest.strip_prefix(',')?;
-        let (class, rest) = take_str(rest, "class")?;
-        let rest = rest.strip_prefix(',')?;
-        let (attempts, rest) = take_u64(rest, "attempts")?;
-        let rest = rest.strip_prefix(',')?;
-        let (message, rest) = take_str(rest, "message")?;
-        if !rest.is_empty() {
-            return None;
-        }
-        Some(Record::Fail {
-            label,
-            class,
-            attempts: u32::try_from(attempts).ok()?,
-            message,
-        })
+    let rest = body.strip_prefix('{')?;
+    let (fp, rest) = take_str(rest, "cell")?;
+    let rest = rest.strip_prefix(',')?;
+    let (experiment, rest) = take_str(rest, "experiment")?;
+    let rest = rest.strip_prefix(',')?;
+    let (label, rest) = take_str(rest, "label")?;
+    let rest = rest.strip_prefix(',')?;
+    let (outcome, rest) = take_str(rest, "outcome")?;
+    let rest = rest.strip_prefix(',')?;
+    let (rows_text, rest) = take_str(rest, "rows")?;
+    if !rest.is_empty() {
+        return None;
     }
+    let rows = serde::rows::decode_rows(&rows_text)?;
+    Some(Record::Cell {
+        fp,
+        experiment,
+        label,
+        outcome,
+        rows,
+    })
 }
 
-/// Parses a whole journal text: the header (if valid) and every durable
-/// record. Parsing stops at the first malformed line — a SIGKILL can
+/// Parses a whole journal text: the header (if valid), every durable
+/// record, and the byte length of that durable prefix (newlines
+/// included). Parsing stops at the first malformed line — a SIGKILL can
 /// tear only the tail, so a bad line *is* the end of the journal, not
 /// an error. The returned records are exactly the durable prefix;
 /// replaying them is idempotent under any truncation point of the file
 /// (the resilience proptest asserts this).
 #[must_use]
-pub fn parse_journal(text: &str) -> (Option<Header>, Vec<Record>) {
+pub fn parse_journal(text: &str) -> (Option<Header>, Vec<Record>, usize) {
     let mut lines = text.split_inclusive('\n');
-    let Some(first) = lines.next() else {
-        return (None, Vec::new());
-    };
     // The header must be a complete line (trailing newline present).
-    let Some(first) = first.strip_suffix('\n') else {
-        return (None, Vec::new());
+    let Some((first, header)) = lines
+        .next()
+        .and_then(|l| Some((l, parse_header(l.strip_suffix('\n')?)?)))
+    else {
+        return (None, Vec::new(), 0);
     };
-    let Some(header) = parse_header(first) else {
-        return (None, Vec::new());
-    };
+    let mut durable = first.len();
     let mut records = Vec::new();
     for line in lines {
         // A line without its newline is a torn tail: clean EOF.
-        let Some(line) = line.strip_suffix('\n') else {
+        let Some(rec) = line.strip_suffix('\n').and_then(parse_record) else {
             break;
         };
-        let Some(rec) = parse_record(line) else {
-            break;
-        };
+        durable += line.len();
         records.push(rec);
     }
-    (Some(header), records)
+    (Some(header), records, durable)
 }
 
 /// A journaled completed cell, keyed for replay.
@@ -330,7 +283,6 @@ struct Armed {
     file: fs::File,
     replay: BTreeMap<String, ReplayCell>,
     resumed: usize,
-    appended: usize,
 }
 
 static STATE: Mutex<Option<Armed>> = Mutex::new(None);
@@ -355,7 +307,8 @@ pub struct ArmSummary {
 /// With `resume == false` (a fresh run) any existing journal is
 /// truncated and a new header written. With `resume == true` the
 /// existing journal is loaded — if its header matches the current
-/// engine salt and `fidelity`, its completed cells become replayable
+/// engine salt and `fidelity`, its completed cells become replayable,
+/// the file is cut back to its durable prefix (dropping a torn tail),
 /// and new records append after them; otherwise the journal is
 /// discarded and the run starts fresh.
 ///
@@ -370,54 +323,52 @@ pub fn arm(dir: &Path, resume: bool, fidelity: &str) -> std::io::Result<ArmSumma
         fidelity: fidelity.to_owned(),
     };
     let mut replay = BTreeMap::new();
-    let mut fresh = true;
+    let mut durable = None;
     if resume {
         if let Ok(text) = fs::read_to_string(&path) {
-            let (found, records) = parse_journal(&text);
+            let (found, records, len) = parse_journal(&text);
             if found.as_ref() == Some(&header) {
-                fresh = false;
-                for rec in records {
-                    if let Record::Cell {
+                durable = Some(len);
+                for Record::Cell {
+                    fp,
+                    experiment,
+                    label,
+                    outcome,
+                    rows,
+                } in records
+                {
+                    replay.insert(
                         fp,
-                        experiment,
-                        label,
-                        outcome,
-                        rows,
-                        ..
-                    } = rec
-                    {
-                        replay.insert(
-                            fp,
-                            ReplayCell {
-                                experiment,
-                                label,
-                                outcome,
-                                rows,
-                            },
-                        );
-                    }
+                        ReplayCell {
+                            experiment,
+                            label,
+                            outcome,
+                            rows,
+                        },
+                    );
                 }
             }
         }
     }
-    let file = if fresh {
+    let fresh = durable.is_none();
+    let file = if let Some(len) = durable {
+        // Cut a torn tail away before appending: glued onto it, the
+        // first resumed record would fail its checksum and hide every
+        // later record from the next resume.
+        let f = fs::OpenOptions::new().append(true).open(&path)?;
+        f.set_len(len as u64)?;
+        f
+    } else {
         let mut f = fs::File::create(&path)?;
         f.write_all(render_header(&header).as_bytes())?;
         f.flush()?;
         f
-    } else {
-        // Re-append after the durable prefix. If a torn tail line is
-        // present it stays in the file; the parser's stop-at-first-bad-
-        // line rule makes it invisible, and the next fresh run
-        // truncates it away.
-        fs::OpenOptions::new().append(true).open(&path)?
     };
     let replayable = replay.len();
     *state() = Some(Armed {
         file,
         replay,
         resumed: 0,
-        appended: 0,
     });
     Ok(ArmSummary { replayable, fresh })
 }
@@ -454,55 +405,25 @@ pub fn replay(fp: &str, experiment: &str, label: &str) -> Option<(Vec<Vec<f64>>,
     Some((cell.rows.clone(), cell.outcome.clone()))
 }
 
-fn append(record: &Record) {
+/// Appends a completed cell (no-op unless armed). Called by the cache
+/// layer after a cell's rows are in hand.
+pub fn record_cell(fp: &str, experiment: &str, label: &str, outcome: &str, rows: &[Vec<f64>]) {
     let mut guard = state();
     let Some(armed) = guard.as_mut() else {
         return;
     };
-    let line = render_record(record);
-    // One write_all per line + flush: a crash tears at most this line,
-    // and the checksum keeps a torn line from ever parsing.
-    if armed.file.write_all(line.as_bytes()).is_ok() {
-        let _ = armed.file.flush();
-        armed.appended += 1;
-    }
-}
-
-/// Appends a completed cell (no-op unless armed). Called by the cache
-/// layer after a cell's rows are in hand.
-pub fn record_cell(
-    fp: &str,
-    experiment: &str,
-    label: &str,
-    outcome: &str,
-    attempts: u32,
-    rows: &[Vec<f64>],
-) {
-    if !armed() {
-        return;
-    }
-    append(&Record::Cell {
+    let line = render_record(&Record::Cell {
         fp: fp.to_owned(),
         experiment: experiment.to_owned(),
         label: label.to_owned(),
         outcome: outcome.to_owned(),
-        attempts,
         rows: rows.to_vec(),
     });
-}
-
-/// Appends a failed cell (no-op unless armed). Called by the runner
-/// when a cell exhausts its retry budget.
-pub fn record_failure(label: &str, class: &str, attempts: u32, message: &str) {
-    if !armed() {
-        return;
+    // One write_all per line + flush: a crash tears at most this line,
+    // and the checksum keeps a torn line from ever parsing.
+    if armed.file.write_all(line.as_bytes()).is_ok() {
+        let _ = armed.file.flush();
     }
-    append(&Record::Fail {
-        label: label.to_owned(),
-        class: class.to_owned(),
-        attempts,
-        message: message.to_owned(),
-    });
 }
 
 #[cfg(test)]
@@ -515,21 +436,22 @@ mod tests {
             experiment: "fig4".to_owned(),
             label: format!("fig4-{fp}"),
             outcome: "off".to_owned(),
-            attempts: 1,
             rows,
         }
     }
 
     #[test]
     fn records_round_trip() {
+        let awkward = Record::Cell {
+            fp: "c3".to_owned(),
+            experiment: "fig4".to_owned(),
+            label: "fig4-x \"quoted\" \\ tail\nline".to_owned(),
+            outcome: "miss".to_owned(),
+            rows: vec![vec![0.1 + 0.2]],
+        };
         let recs = vec![
             cell("a1", vec![vec![1.5, f64::INFINITY], vec![-0.0]]),
-            Record::Fail {
-                label: "fig4-x \"quoted\"\nline".to_owned(),
-                class: "timed_out".to_owned(),
-                attempts: 2,
-                message: "watchdog soft deadline".to_owned(),
-            },
+            awkward,
             cell("b2", vec![]),
         ];
         for r in &recs {
@@ -542,18 +464,6 @@ mod tests {
     }
 
     #[test]
-    fn rows_survive_bit_exactly() {
-        let weird = f64::from_bits(0x7ff8_dead_beef_0001);
-        let r = cell("w", vec![vec![weird, 0.1 + 0.2]]);
-        let line = render_record(&r);
-        let Record::Cell { rows, .. } = parse_record(line.trim_end()).unwrap() else {
-            panic!("cell expected")
-        };
-        assert_eq!(rows[0][0].to_bits(), weird.to_bits());
-        assert_eq!(rows[0][1].to_bits(), (0.1 + 0.2f64).to_bits());
-    }
-
-    #[test]
     fn header_round_trips() {
         let h = Header {
             salt: 0x1505_1955_0000_0001,
@@ -561,6 +471,17 @@ mod tests {
         };
         let line = render_header(&h);
         assert_eq!(parse_header(line.trim_end()).as_ref(), Some(&h));
+        // Non-canonical salts (upper case, zero-padded) are rejected.
+        let h = Header {
+            salt: 0xabcd_ef01_2345_6789,
+            ..h
+        };
+        let line = render_header(&h);
+        assert_eq!(parse_header(line.trim_end()).as_ref(), Some(&h));
+        let upper = line.replace("abcdef", "ABCDEF");
+        assert!(parse_header(upper.trim_end()).is_none());
+        let padded = line.replace("\"abcd", "\"0abcd");
+        assert!(parse_header(padded.trim_end()).is_none());
     }
 
     #[test]
@@ -589,31 +510,39 @@ mod tests {
         let full = format!("{header}{l1}{l2}");
         // Tearing anywhere inside l2 leaves exactly [a] durable.
         for cut in header.len() + l1.len() + 1..full.len() {
-            let (h, recs) = parse_journal(&full[..cut]);
+            let (h, recs, durable) = parse_journal(&full[..cut]);
             assert!(h.is_some());
             assert_eq!(recs.len(), 1, "cut at {cut}");
+            assert_eq!(durable, header.len() + l1.len(), "cut at {cut}");
         }
-        let (h, recs) = parse_journal(&full);
+        let (h, recs, durable) = parse_journal(&full);
         assert!(h.is_some());
         assert_eq!(recs.len(), 2);
+        assert_eq!(durable, full.len());
         // A torn header means no journal at all.
-        let (h, recs) = parse_journal(&full[..header.len() - 1]);
+        let (h, recs, durable) = parse_journal(&full[..header.len() - 1]);
         assert!(h.is_none());
         assert!(recs.is_empty());
+        assert_eq!(durable, 0);
+    }
+
+    fn temp_dir(tag: &str) -> PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("isol-journal-unit-{tag}-{}", std::process::id()));
+        fs::remove_dir_all(&dir).ok();
+        dir
     }
 
     #[test]
     fn arm_replay_and_reappend() {
-        let dir = std::env::temp_dir().join(format!("isol-journal-unit-{}", std::process::id()));
-        fs::remove_dir_all(&dir).ok();
+        let dir = temp_dir("replay");
         let sum = arm(&dir, false, "smoke").unwrap();
         assert!(sum.fresh);
         assert_eq!(sum.replayable, 0);
         assert!(armed());
-        record_cell("fp1", "fig4", "fig4-a", "off", 1, &[vec![4.0, 5.0]]);
-        record_failure("fig4-b", "timed_out", 2, "hung");
+        record_cell("fp1", "fig4", "fig4-a", "off", &[vec![4.0, 5.0]]);
         disarm();
-        // Resume: the completed cell replays; the failure does not.
+        // Resume: the completed cell replays.
         let sum = arm(&dir, true, "smoke").unwrap();
         assert!(!sum.fresh);
         assert_eq!(sum.replayable, 1);
@@ -628,6 +557,42 @@ mod tests {
         let sum = arm(&dir, true, "standard").unwrap();
         assert!(sum.fresh);
         assert_eq!(sum.replayable, 0);
+        disarm();
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn resume_cuts_a_torn_tail_before_appending() {
+        let dir = temp_dir("torn");
+        let rows = [vec![1.0]];
+        arm(&dir, false, "smoke").unwrap();
+        record_cell("fp-a", "fig4", "fig4-a", "off", &rows);
+        record_cell("fp-b", "fig4", "fig4-b", "off", &rows);
+        disarm();
+        // A SIGKILL mid-write tears the last line: fp-b is not durable.
+        let path = file_path(&dir);
+        let len = fs::metadata(&path).unwrap().len();
+        fs::OpenOptions::new()
+            .write(true)
+            .open(&path)
+            .unwrap()
+            .set_len(len - 5)
+            .unwrap();
+        let sum = arm(&dir, true, "smoke").unwrap();
+        assert!(!sum.fresh);
+        assert!(replay("fp-a", "fig4", "fig4-a").is_some());
+        assert!(replay("fp-b", "fig4", "fig4-b").is_none());
+        record_cell("fp-c", "fig4", "fig4-c", "off", &rows);
+        record_cell("fp-d", "fig4", "fig4-d", "off", &rows);
+        disarm();
+        // A second resume sees every durable cell, the first resume's
+        // included.
+        let sum = arm(&dir, true, "smoke").unwrap();
+        for fp in ["a", "c", "d"] {
+            let found = replay(&format!("fp-{fp}"), "fig4", &format!("fig4-{fp}"));
+            assert!(found.is_some(), "fp-{fp} lost by the second resume");
+        }
+        assert_eq!(sum.replayable, 3);
         disarm();
         fs::remove_dir_all(&dir).ok();
     }

@@ -1,14 +1,15 @@
-//! Deterministic parallel scenario runner.
+//! Deterministic parallel cell runner.
 //!
 //! Experiment grids (Fig. 3–7, Q10, …) are embarrassingly parallel:
 //! every cell builds its own [`crate::Scenario`] with its own seeded
-//! RNG and shares no mutable state with any other cell. This module
-//! fans such batches across a fixed-size worker pool while keeping the
-//! output **bit-for-bit identical** to a sequential run:
+//! RNG and shares no mutable state with any other cell. The one pool
+//! here, [`run_cells_keep`] (behind [`crate::run_cells`]), fans such
+//! batches across a fixed-size worker pool while keeping the output
+//! **bit-for-bit identical** to a sequential run:
 //!
 //! * each task writes its result into the slot matching its submission
-//!   index, so [`run_batch`] returns results in submission order no
-//!   matter which worker finished first;
+//!   index, so results come back in submission order no matter which
+//!   worker finished first;
 //! * tasks themselves are deterministic (simulation state is seeded per
 //!   scenario and never shared), so a cell computes the same value on
 //!   any thread.
@@ -16,27 +17,17 @@
 //! Together these make every table, CSV, and report byte-identical for
 //! any `--jobs` value — parallelism only changes wall-clock time.
 //!
-//! # Graceful degradation
-//!
-//! A panicking cell no longer takes down the whole batch (and with it a
-//! multi-minute figures run): every cell executes under
-//! [`std::panic::catch_unwind`], a failure is recorded in a
-//! process-global registry tagged with the cell's submission index and
-//! label, and the batch returns the *surviving* cells in submission
-//! order. The harness drains the registry via [`take_failures`] and
-//! writes `failures.json` next to the partial CSVs. Callers that chunk
-//! results positionally should treat any recorded failure as
-//! invalidating that experiment's table.
-//!
 //! The pool is built on [`std::thread::scope`]; there are no external
 //! dependencies and no long-lived threads. Worker count comes from the
 //! process-wide setting ([`set_jobs`]), defaulting to
 //! [`std::thread::available_parallelism`].
 //!
-//! # Resilient cell execution
+//! # Graceful degradation
 //!
-//! Scenario cells (the [`crate::cell`] layer) additionally run under a
-//! **per-cell watchdog** with bounded retry:
+//! A failing cell does not take down the whole batch (and with it a
+//! multi-minute figures run). Every attempt runs under
+//! [`std::panic::catch_unwind`] and a **per-cell watchdog** with
+//! bounded retry:
 //!
 //! * every attempt gets a fresh [`simcore::cancel::CancelToken`] armed
 //!   with the soft deadline ([`set_watchdog`]); a dedicated watchdog
@@ -53,9 +44,17 @@
 //!   whose token latched is *discarded* even if it returned rows, so
 //!   partial stats never reach a CSV;
 //! * a cell that exhausts its budget is **quarantined** by label and
-//!   recorded with a structured [`FailureClass`]; later submissions of
-//!   a quarantined label are skipped immediately, so a systematically
-//!   broken cell degrades the run instead of stalling every repetition.
+//!   recorded with a structured [`FailureClass`] in a process-global
+//!   registry tagged with its submission index and label; later
+//!   submissions of a quarantined label are skipped immediately, so a
+//!   systematically broken cell degrades the run instead of stalling
+//!   every repetition.
+//!
+//! The batch keeps one slot per submitted cell, `None` for a failed
+//! one. The harness drains the registry via [`take_failures`] and
+//! writes `failures.json` next to the partial CSVs. Callers that chunk
+//! results positionally should treat any recorded failure as
+//! invalidating that experiment's table.
 
 use std::collections::BTreeSet;
 use std::num::NonZeroUsize;
@@ -107,22 +106,8 @@ static RETRIES_DONE: AtomicUsize = AtomicUsize::new(0);
 /// labels are skipped outright.
 static QUARANTINE: Mutex<BTreeSet<String>> = Mutex::new(BTreeSet::new());
 
-thread_local! {
-    /// 1-based attempt number of the cell attempt running on this
-    /// thread; read by the cache layer when journaling a completed
-    /// cell.
-    static CURRENT_ATTEMPT: std::cell::Cell<u32> = const { std::cell::Cell::new(1) };
-}
-
-/// The attempt number of the cell attempt running on this thread (1
-/// outside the resilient pool).
-#[must_use]
-pub(crate) fn current_attempt() -> u32 {
-    CURRENT_ATTEMPT.with(std::cell::Cell::get)
-}
-
-/// Structured failure taxonomy shared by `failures.json`, the run
-/// journal, and the per-cell telemetry in `timings.json`.
+/// Structured failure taxonomy shared by `failures.json` and the
+/// runner's stderr lines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FailureClass {
     /// The cell panicked (assertion, arithmetic, explicit panic).
@@ -189,19 +174,17 @@ fn class_from_reason(reason: Option<CancelReason>) -> FailureClass {
 pub struct CellFailure {
     /// Submission index within its batch.
     pub index: usize,
-    /// Cell label — the scenario label for labeled batches, `#index`
-    /// otherwise.
+    /// Cell label (the scenario name).
     pub label: String,
     /// The panic payload or cancellation cause, stringified.
     pub message: String,
     /// Structured failure class.
     pub class: FailureClass,
-    /// Attempts consumed (1 for the plain batch paths, up to
-    /// `retries + 1` for resilient cells).
+    /// Attempts consumed (`retries + 1`, or 0 for a quarantine skip).
     pub attempts: u32,
 }
 
-/// Sets the process-wide worker count used by [`run_batch`].
+/// Sets the process-wide worker count used by [`crate::run_cells`].
 ///
 /// `0` restores the default: [`std::thread::available_parallelism`].
 /// Because batches are deterministic for *any* worker count, changing
@@ -351,7 +334,7 @@ pub fn set_inject_panic(label: Option<&str>) {
 
 /// The currently armed inject-panic label, if any. The traced cell path
 /// ([`crate::cache`]) uses this to arm the recorder's mid-run panic
-/// instead of the up-front assert below.
+/// instead of the up-front assert in [`run_resilient_cell`].
 pub(crate) fn inject_panic_label() -> Option<String> {
     INJECT_PANIC.lock().expect("inject flag poisoned").clone()
 }
@@ -391,149 +374,6 @@ fn payload_message(payload: Box<dyn std::any::Any + Send>) -> String {
     } else {
         "non-string panic payload".to_owned()
     }
-}
-
-/// Runs one cell under `catch_unwind`; `None` means it panicked (the
-/// failure is recorded and announced on stderr with index + label).
-fn run_cell<T>(index: usize, label: &str, task: impl FnOnce() -> T) -> Option<T> {
-    let inject = INJECT_PANIC
-        .lock()
-        .expect("inject flag poisoned")
-        .as_deref()
-        == Some(label);
-    // With trace capture on, the injected panic is deferred into the
-    // traced run itself (the recorder is armed to panic mid-simulation;
-    // see crate::cache) so the partial-trace path gets exercised.
-    let inject_now = inject && !crate::tracing::enabled();
-    match panic::catch_unwind(AssertUnwindSafe(|| {
-        assert!(!inject_now, "injected panic (requested for cell `{label}`)");
-        task()
-    })) {
-        Ok(v) => Some(v),
-        Err(payload) => {
-            let message = payload_message(payload);
-            eprintln!("runner: cell #{index} ({label}) panicked: {message}");
-            let class = classify_panic(&message);
-            FAILURES
-                .lock()
-                .expect("failure registry poisoned")
-                .push(CellFailure {
-                    index,
-                    label: label.to_owned(),
-                    message,
-                    class,
-                    attempts: 1,
-                });
-            None
-        }
-    }
-}
-
-/// Runs `tasks` on the configured worker pool, returning the surviving
-/// results in submission order.
-///
-/// Equivalent to `tasks.into_iter().map(|f| f()).collect()` — including
-/// the exact output order — but cells run concurrently on up to
-/// [`jobs`] threads.
-///
-/// A panicking task does **not** abort the batch: its failure is
-/// recorded (see [`take_failures`]) under the label `#index` and its
-/// result is omitted from the returned vector.
-pub fn run_batch<T, F>(tasks: Vec<F>) -> Vec<T>
-where
-    T: Send,
-    F: FnOnce() -> T + Send,
-{
-    run_batch_on(jobs(), tasks)
-}
-
-/// [`run_batch`] with an explicit worker count (used by the determinism
-/// regression tests and benches; prefer [`run_batch`] elsewhere).
-pub fn run_batch_on<T, F>(workers: usize, tasks: Vec<F>) -> Vec<T>
-where
-    T: Send,
-    F: FnOnce() -> T + Send,
-{
-    run_labeled_on(
-        workers,
-        tasks
-            .into_iter()
-            .enumerate()
-            .map(|(i, f)| (format!("#{i}"), f))
-            .collect(),
-    )
-}
-
-/// The labeled core: runs `(label, task)` pairs, catching per-cell
-/// panics, and returns surviving results in submission order.
-fn run_labeled_on<T, F>(workers: usize, tasks: Vec<(String, F)>) -> Vec<T>
-where
-    T: Send,
-    F: FnOnce() -> T + Send,
-{
-    run_labeled_keep(workers, tasks)
-        .into_iter()
-        .flatten()
-        .collect()
-}
-
-/// The position-keeping core behind every batch entry point: runs
-/// `(label, task)` pairs on `workers` threads, catching per-cell
-/// panics, and returns one slot per submitted task in submission order
-/// — `None` marks a cell that panicked (already recorded in the
-/// failure registry).
-///
-/// Keeping positions (rather than dropping failed cells) is what lets
-/// callers that correlate results with their submitted grid keys — the
-/// global cell scheduler, `chunks`-based repetition folds — stay
-/// aligned even in a degraded run.
-pub(crate) fn run_labeled_keep<T, F>(workers: usize, tasks: Vec<(String, F)>) -> Vec<Option<T>>
-where
-    T: Send,
-    F: FnOnce() -> T + Send,
-{
-    let n = tasks.len();
-    let workers = workers.max(1).min(n);
-    if workers <= 1 {
-        return tasks
-            .into_iter()
-            .enumerate()
-            .map(|(i, (label, f))| run_cell(i, &label, f))
-            .collect();
-    }
-
-    // Task slots and result slots are indexed by submission order; a
-    // worker claims index i atomically, takes the task from slot i, and
-    // writes its output to result slot i. Completion order is
-    // irrelevant to the collected output. A slot left `None` after the
-    // scope joins belongs to a cell that panicked (already recorded).
-    let slots: Vec<Mutex<Option<(String, F)>>> =
-        tasks.into_iter().map(|f| Mutex::new(Some(f))).collect();
-    let results: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-
-    thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let (label, task) = slots[i]
-                    .lock()
-                    .expect("task slot poisoned")
-                    .take()
-                    .expect("task claimed twice");
-                let out = run_cell(i, &label, task);
-                *results[i].lock().expect("result slot poisoned") = out;
-            });
-        }
-    });
-
-    results
-        .into_iter()
-        .map(|m| m.into_inner().expect("result slot poisoned"))
-        .collect()
 }
 
 /// One in-flight cell attempt, visible to the watchdog thread.
@@ -632,13 +472,11 @@ fn run_resilient_cell<T>(
             soft_fired: false,
             hard_fired: false,
         });
-        CURRENT_ATTEMPT.with(|c| c.set(attempt));
-        let inject = INJECT_PANIC
-            .lock()
-            .expect("inject flag poisoned")
-            .as_deref()
-            == Some(label);
-        let inject_now = inject && !crate::tracing::enabled();
+        // With trace capture on, the injected panic is deferred into the
+        // traced run itself (see crate::cache) so the partial-trace path
+        // gets exercised.
+        let inject_now =
+            inject_panic_label().as_deref() == Some(label) && !crate::tracing::enabled();
         let outcome = {
             let _guard = InstallGuard::new(token.clone());
             panic::catch_unwind(AssertUnwindSafe(|| {
@@ -647,7 +485,6 @@ fn run_resilient_cell<T>(
                 task()
             }))
         };
-        CURRENT_ATTEMPT.with(|c| c.set(1));
         *active.lock().unwrap_or_else(|e| e.into_inner()) = None;
         let (class, message) = match outcome {
             // An attempt whose token latched is discarded even when it
@@ -686,7 +523,6 @@ fn run_resilient_cell<T>(
         .lock()
         .expect("quarantine poisoned")
         .insert(label.to_owned());
-    crate::journal::record_failure(label, class.as_str(), max_attempts, &message);
     FAILURES
         .lock()
         .expect("failure registry poisoned")
@@ -705,11 +541,18 @@ fn run_resilient_cell<T>(
 pub(crate) type LabeledTask<T> = (String, Box<dyn Fn() -> T + Send>);
 
 /// The resilient position-keeping pool behind [`crate::run_cells`]:
-/// like [`run_labeled_keep`], but tasks are re-runnable (`Fn`), every
-/// attempt runs under a watchdog-armed cancel token, failed attempts
-/// retry with exponential backoff, and exhausted cells are quarantined.
-/// The watchdog runs on its own thread inside the same scope, so even a
-/// single-worker run gets deadline enforcement.
+/// runs `(label, task)` pairs on `workers` threads and returns one slot
+/// per submitted task in submission order — `None` marks a cell that
+/// failed every attempt or was skipped (already recorded in the failure
+/// registry). Keeping positions is what lets callers that correlate
+/// results with their submitted grid keys — the global cell scheduler,
+/// `chunks`-based repetition folds — stay aligned in a degraded run.
+///
+/// Tasks are re-runnable (`Fn`): every attempt runs under a
+/// watchdog-armed cancel token, failed attempts retry with exponential
+/// backoff, and exhausted cells are quarantined. The watchdog runs on
+/// its own thread inside the same scope, so even a single-worker run
+/// gets deadline enforcement.
 pub(crate) fn run_cells_keep<T>(workers: usize, tasks: Vec<LabeledTask<T>>) -> Vec<Option<T>>
 where
     T: Send,
@@ -770,45 +613,25 @@ where
         .collect()
 }
 
-/// Maps `f` over `items` on the worker pool, preserving item order.
-///
-/// Convenience wrapper over [`run_batch`] for the common "apply one
-/// measurement function to every grid cell" shape. Panicking cells are
-/// recorded and omitted (see [`run_batch`]).
-pub fn map_batch<I, T, F>(items: Vec<I>, f: F) -> Vec<T>
-where
-    I: Send,
-    T: Send,
-    F: Fn(I) -> T + Sync,
-{
-    let f = &f;
-    run_batch(items.into_iter().map(move |item| move || f(item)).collect())
-}
-
-/// [`map_batch`] with human-readable cell labels: `label(&item)` names
-/// each cell (typically the scenario name) so a panic is reported as
-/// e.g. `q_faults-io.cost` instead of `#4`. Results carry no item
-/// correlation, so cells should embed their own identity in `T`.
-pub fn map_batch_labeled<I, T, L, F>(items: Vec<I>, label: L, f: F) -> Vec<T>
-where
-    I: Send,
-    T: Send,
-    L: Fn(&I) -> String,
-    F: Fn(I) -> T + Sync,
-{
-    let f = &f;
-    run_labeled_on(
-        jobs(),
-        items
-            .into_iter()
-            .map(move |item| (label(&item), move || f(item)))
-            .collect(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Labels `tasks` `<prefix>-<index>` for the resilient pool. Labels
+    /// must be unique per test: quarantine is process-global.
+    fn labeled<T, F>(prefix: &str, tasks: Vec<F>) -> Vec<LabeledTask<T>>
+    where
+        F: Fn() -> T + Send + 'static,
+    {
+        tasks
+            .into_iter()
+            .enumerate()
+            .map(|(i, f)| {
+                let task: Box<dyn Fn() -> T + Send> = Box::new(f);
+                (format!("{prefix}-{i}"), task)
+            })
+            .collect()
+    }
 
     #[test]
     fn results_come_back_in_submission_order() {
@@ -827,34 +650,30 @@ mod tests {
                 }
             })
             .collect();
-        let out = run_batch_on(4, tasks);
-        assert_eq!(out, (0..32).collect::<Vec<_>>());
+        let out = run_cells_keep(4, labeled("runner-unit-order", tasks));
+        assert_eq!(out, (0..32).map(Some).collect::<Vec<_>>());
     }
 
     #[test]
     fn worker_counts_agree_bit_for_bit() {
         let build = || {
-            (0..20u64)
+            let tasks: Vec<_> = (0..20u64)
                 .map(|i| move || format!("cell-{i}:{}", i.wrapping_mul(2_654_435_761)))
-                .collect::<Vec<_>>()
+                .collect();
+            labeled("runner-unit-workers", tasks)
         };
-        let seq = run_batch_on(1, build());
-        for workers in [2, 3, 4, 8, 64] {
-            assert_eq!(run_batch_on(workers, build()), seq, "workers = {workers}");
+        let seq = run_cells_keep(1, build());
+        assert!(seq.iter().all(Option::is_some));
+        for workers in [2, 3, 4, 8] {
+            assert_eq!(run_cells_keep(workers, build()), seq, "workers = {workers}");
         }
     }
 
     #[test]
-    fn map_batch_preserves_order() {
-        let out = map_batch((0..10).collect::<Vec<i32>>(), |x| x * x);
-        assert_eq!(out, vec![0, 1, 4, 9, 16, 25, 36, 49, 64, 81]);
-    }
-
-    #[test]
     fn empty_and_single_batches_work() {
-        let empty: Vec<fn() -> u8> = Vec::new();
-        assert!(run_batch(empty).is_empty());
-        assert_eq!(run_batch_on(8, vec![|| 7u8]), vec![7]);
+        assert!(run_cells_keep::<u8>(4, Vec::new()).is_empty());
+        let one = labeled("runner-unit-single", vec![|| 7u8]);
+        assert_eq!(run_cells_keep(8, one), vec![Some(7)]);
     }
 
     #[test]
@@ -863,67 +682,49 @@ mod tests {
     }
 
     #[test]
-    fn panicking_cell_is_dropped_and_recorded() {
+    fn panicking_cell_keeps_its_slot_and_is_recorded() {
+        set_retry_backoff(Duration::from_millis(1));
         for workers in [1, 4] {
-            let tasks: Vec<Box<dyn FnOnce() -> u64 + Send>> = (0..8u64)
+            let prefix = format!("runner-unit-boom-w{workers}");
+            let tasks: Vec<_> = (0..8u64)
                 .map(|i| {
-                    Box::new(move || {
+                    move || {
                         assert!(i != 5, "cell five exploded (workers test)");
                         i
-                    }) as Box<dyn FnOnce() -> u64 + Send>
+                    }
                 })
                 .collect();
-            let out = run_batch_on(workers, tasks);
-            assert_eq!(out, vec![0, 1, 2, 3, 4, 6, 7], "workers = {workers}");
+            let out = run_cells_keep(workers, labeled(&prefix, tasks));
+            let want: Vec<_> = (0..8).map(|i| (i != 5).then_some(i)).collect();
+            assert_eq!(out, want, "workers = {workers}");
             let fails = take_failures();
             let ours: Vec<_> = fails
                 .iter()
-                .filter(|f| f.message.contains("cell five exploded"))
+                .filter(|f| f.label.starts_with(&prefix))
                 .collect();
             assert_eq!(ours.len(), 1, "workers = {workers}");
             assert_eq!(ours[0].index, 5);
-            assert_eq!(ours[0].label, "#5");
+            assert_eq!(ours[0].label, format!("{prefix}-5"));
+            assert!(ours[0].message.contains("cell five exploded"));
         }
     }
 
     #[test]
-    fn labeled_batches_report_the_label() {
-        let items = vec!["alpha", "beta", "gamma"];
-        let out = map_batch_labeled(
-            items,
-            |i| format!("cell-{i}"),
-            |i| {
-                assert!(i != "beta", "beta failed (label test)");
-                i.len()
-            },
-        );
-        assert_eq!(out, vec![5, 5]);
-        let fails = take_failures();
-        let ours: Vec<_> = fails
-            .iter()
-            .filter(|f| f.message.contains("beta failed"))
-            .collect();
-        assert_eq!(ours.len(), 1);
-        assert_eq!(ours[0].label, "cell-beta");
-        assert_eq!(ours[0].index, 1);
-    }
-
-    #[test]
     fn injected_panic_hits_only_the_named_label() {
-        set_inject_panic(Some("cell-b (inject test)"));
-        let out = map_batch_labeled(
-            vec!["a (inject test)", "b (inject test)", "c (inject test)"],
-            |i| format!("cell-{i}"),
-            |i| i.len(),
-        );
+        set_retry_backoff(Duration::from_millis(1));
+        set_inject_panic(Some("runner-unit-inject-1"));
+        let tasks: Vec<_> = (0..3usize).map(|i| move || i).collect();
+        let out = run_cells_keep(2, labeled("runner-unit-inject", tasks));
         set_inject_panic(None);
-        assert_eq!(out.len(), 2);
+        assert_eq!(out, vec![Some(0), None, Some(2)]);
         let fails = take_failures();
         let ours: Vec<_> = fails
             .iter()
-            .filter(|f| f.label == "cell-b (inject test)")
+            .filter(|f| f.label.starts_with("runner-unit-inject"))
             .collect();
         assert_eq!(ours.len(), 1);
+        assert_eq!(ours[0].label, "runner-unit-inject-1");
+        assert_eq!(ours[0].index, 1);
         assert!(ours[0].message.contains("injected panic"));
     }
 }

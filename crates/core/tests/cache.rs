@@ -6,16 +6,20 @@
 //!   invalidates exactly the affected entries,
 //! * corrupted or truncated entries are silent misses (recomputed and
 //!   rewritten), never panics,
-//! * faulted scenarios (`q_faults`) bypass the cache entirely.
+//! * faulted scenarios (`q_faults`) bypass the cache entirely,
+//! * a traced cell whose attempt was cancelled leaves no telemetry.
 
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
+use host_sim::DeviceSetup;
 use isol_bench::experiments::{fig4, q_faults};
-use isol_bench::{cache, runner, Fidelity, Knob, OutputSink, Scenario};
+use isol_bench::{cache, runner, tracing, Fidelity, Knob, OutputSink, Scenario};
+use simcore::cancel::{CancelToken, InstallGuard};
 use simcore::SimTime;
+use workload::JobSpec;
 
 /// Cache mode/dir/salt and the worker count are process-global, so
 /// tests that touch them must not interleave.
@@ -192,4 +196,50 @@ fn faulted_cells_bypass_the_cache() {
         "no cache file may exist for a faulted grid"
     );
     fs::remove_dir_all(&cache_dir).ok();
+}
+
+/// Turns trace capture off again on scope exit.
+struct TraceGuard;
+
+impl Drop for TraceGuard {
+    fn drop(&mut self) {
+        tracing::set_capacity(None);
+        tracing::set_dir(tracing::DEFAULT_DIR);
+    }
+}
+
+#[test]
+fn cancelled_traced_attempt_leaves_no_cell_stats() {
+    let _guard = GLOBAL_CONFIG.lock().unwrap_or_else(|e| e.into_inner());
+    let trace_dir = temp_dir("traced-cancel");
+    let _restore = arm_cache(&temp_dir("traced-cancel-cache"));
+    tracing::set_dir(&trace_dir);
+    tracing::set_capacity(Some(1024));
+    let _trace = TraceGuard;
+    let mut s = Scenario::new("traced-cancel", 1, vec![DeviceSetup::flash()]);
+    let g = s.add_cgroup("cg0");
+    s.add_app(g, JobSpec::lc_app("lc"));
+    let before = cache::stats();
+    let token = CancelToken::new();
+    token.cancel();
+    let rows = {
+        let _installed = InstallGuard::new(token);
+        cache::run_scenario(
+            "t",
+            "t-traced-cancel",
+            Fidelity::Smoke,
+            s,
+            SimTime::from_millis(50),
+            |_| vec![vec![1.0]],
+        )
+    };
+    assert_eq!(rows, vec![vec![1.0]], "the runner discards these rows");
+    assert!(
+        cache::take_cell_stats().is_empty(),
+        "a discarded attempt must not reach timings.json"
+    );
+    assert_eq!(cache::stats().bypassed, before.bypassed);
+    // The partial trace is still written.
+    assert!(tracing::trace_paths("t-traced-cancel").0.exists());
+    fs::remove_dir_all(&trace_dir).ok();
 }

@@ -11,7 +11,10 @@
 //! * arming the journal in resume mode replays completed cells without
 //!   re-simulating, and the replayed run's CSVs are byte-identical,
 //! * journal replay is idempotent under arbitrary truncation of the
-//!   journal file (proptest).
+//!   journal file (proptest),
+//! * a one-byte flip, insertion or deletion anywhere in a journal or a
+//!   cache entry never panics and never yields rows that were not
+//!   written (proptest).
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -220,10 +223,10 @@ fn journal_resume_replays_cells_byte_identically() {
     fs::remove_dir_all(&journal_dir).ok();
 }
 
-/// Deterministic journal content derived from a seed list: a mix of
-/// completed-cell and failure records with awkward strings (quotes,
-/// backslashes, newlines) and bit-pattern floats. ASCII only, so any
-/// byte offset is a valid truncation point.
+/// Deterministic journal content derived from a seed list: completed
+/// cells, some with awkward labels (quotes, backslashes, newlines), and
+/// bit-pattern floats. ASCII only, so any byte offset is a valid
+/// truncation point.
 fn journal_fixture(seeds: &[u64]) -> (Header, Vec<Record>, String) {
     let header = Header {
         salt: 0xABCD_EF01_2345_6789,
@@ -232,24 +235,19 @@ fn journal_fixture(seeds: &[u64]) -> (Header, Vec<Record>, String) {
     let mut text = render_header(&header);
     let mut records = Vec::new();
     for (i, &s) in seeds.iter().enumerate() {
-        let rec = if s % 5 == 0 {
-            Record::Fail {
-                label: format!("cell-{i}"),
-                class: "panic".to_owned(),
-                attempts: (s % 3) as u32 + 1,
-                message: format!("boom \"{s}\" \\ tail\nsecond line"),
-            }
+        let label = if s % 5 == 0 {
+            format!("cell-{i} \"{s}\" \\ tail\nsecond line")
         } else {
-            let v = f64::from_bits(s);
-            let v = if v.is_nan() { 0.0 } else { v };
-            Record::Cell {
-                fp: format!("{s:032x}"),
-                experiment: "fig4".to_owned(),
-                label: format!("cell-{i}"),
-                outcome: "miss".to_owned(),
-                attempts: (s % 2) as u32 + 1,
-                rows: vec![vec![v, -1.5], vec![], vec![(i as f64) * 0.125]],
-            }
+            format!("cell-{i}")
+        };
+        let v = f64::from_bits(s);
+        let v = if v.is_nan() { 0.0 } else { v };
+        let rec = Record::Cell {
+            fp: format!("{s:032x}"),
+            experiment: "fig4".to_owned(),
+            label,
+            outcome: "miss".to_owned(),
+            rows: vec![vec![v, -1.5], vec![], vec![(i as f64) * 0.125]],
         };
         text.push_str(&render_record(&rec));
         records.push(rec);
@@ -274,7 +272,7 @@ proptest! {
         #[allow(clippy::cast_sign_loss, clippy::cast_possible_truncation)]
         let cut = ((text.len() as f64) * cut_frac) as usize;
         let cut = cut.min(text.len());
-        let (h, parsed) = parse_journal(&text[..cut]);
+        let (h, parsed, durable) = parse_journal(&text[..cut]);
 
         // The parsed records are exactly a prefix of what was written.
         prop_assert!(parsed.len() <= records.len());
@@ -295,8 +293,100 @@ proptest! {
         for rec in &parsed {
             round.push_str(&render_record(rec));
         }
-        let (h2, parsed2) = parse_journal(&round);
+        // The durable length covers exactly those bytes: what a resumed
+        // run keeps before it appends.
+        prop_assert_eq!(&round[..], &text[..durable]);
+        let (h2, parsed2, _) = parse_journal(&round);
         prop_assert_eq!(h2, h);
         prop_assert_eq!(parsed2, parsed);
+    }
+}
+
+/// Applies one byte mutation at `at % len`: 0 flips the byte (XOR with
+/// `byte`, forced non-zero), 1 inserts `byte` before it, 2 deletes it.
+fn mutate(bytes: &[u8], op: u8, at: usize, byte: u8) -> Vec<u8> {
+    let mut out = bytes.to_vec();
+    let at = at % bytes.len();
+    match op {
+        0 => out[at] ^= byte.max(1),
+        1 => out.insert(at, byte),
+        _ => {
+            out.remove(at);
+        }
+    }
+    out
+}
+
+fn bits(rows: &[Vec<f64>]) -> Vec<Vec<u64>> {
+    rows.iter()
+        .map(|r| r.iter().map(|v| v.to_bits()).collect())
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// One mutated byte in a journal loses at most the record it lands
+    /// in and everything after it: the parsed records are a prefix of
+    /// the written ones that keeps every record before the mutation,
+    /// and the header comes back only if the mutation missed it.
+    /// Mutations stay ASCII: the resume path reads the file as UTF-8
+    /// and starts fresh on anything else.
+    #[test]
+    fn journal_byte_mutation_keeps_a_durable_prefix(
+        seeds in proptest::collection::vec(0u64..=u64::MAX, 1..8),
+        op in 0u8..3,
+        at in 0usize..1_000_000,
+        byte in 0u8..0x80,
+    ) {
+        let (header, records, text) = journal_fixture(&seeds);
+        let mutated = mutate(text.as_bytes(), op, at, byte);
+        let at = at % text.len();
+        let mutated = String::from_utf8(mutated).expect("ASCII in, ASCII out");
+        let (h, parsed, _) = parse_journal(&mutated);
+
+        prop_assert!(parsed.len() <= records.len());
+        prop_assert_eq!(&parsed[..], &records[..parsed.len()]);
+        let header_len = render_header(&header).len();
+        if at < header_len {
+            prop_assert!(h.as_ref() != Some(&header), "mutated header accepted");
+            prop_assert!(h.is_some() || parsed.is_empty());
+        } else {
+            prop_assert_eq!(h.as_ref(), Some(&header));
+            // Every record that ends before the mutation survives.
+            let mut end = header_len;
+            let intact = records
+                .iter()
+                .take_while(|r| {
+                    end += render_record(r).len();
+                    end <= at
+                })
+                .count();
+            prop_assert!(parsed.len() >= intact, "lost a record before the mutation");
+        }
+    }
+
+    /// One mutated byte in a stored cache entry is a miss or a hit on
+    /// the identical rows, bit for bit — never a panic, never other
+    /// rows.
+    #[test]
+    fn cache_entry_byte_mutation_is_a_miss_or_identical(
+        op in 0u8..3,
+        at in 0usize..1_000_000,
+        byte in 0u8..=255,
+        seed in 0u64..=u64::MAX,
+    ) {
+        let dir = temp_dir("cache-fuzz");
+        let nan = f64::from_bits(0x7ff8_dead_beef_0001);
+        let rows = vec![vec![f64::from_bits(seed), nan], vec![], vec![-0.0, 0.1 + 0.2]];
+        let spec = format!("fuzz/cell-{seed}\nfidelity=Smoke\n\"quoted\" \\ spec");
+        cache::store_rows(&dir, &spec, &rows).expect("store");
+        let path = cache::entry_path(&dir, &spec);
+        let good = fs::read(&path).expect("stored entry");
+        fs::write(&path, mutate(&good, op, at, byte)).expect("write mutated");
+        if let Some(back) = cache::load_rows(&dir, &spec) {
+            prop_assert_eq!(bits(&back), bits(&rows));
+        }
+        fs::remove_dir_all(&dir).ok();
     }
 }
