@@ -18,8 +18,8 @@
 //! a vtime-ordered index of backlogged groups, so the cost should grow
 //! with the log of the backlog, not with configured groups.
 //!
-//! The `perfsnap` binary re-times the tick axis at 8 and 1024 groups
-//! and gates absolute regressions.
+//! End to end, the same controller cost shows as `ioqos.ns_per_call` on
+//! the benchmark's `fleet_16k` workload (`perfbench/`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;

@@ -1,8 +1,7 @@
-//! Fleet-scale `io.cost` fixture for the `qos_scale` bench and the
-//! `perfsnap` tick gates: the benchmark cost model, a 4 KiB probe read,
-//! and [`populate`], which leaves a controller in the steady state a
-//! loaded host presents every period (many tenants materialized, ~10 %
-//! of them active).
+//! Fleet-scale `io.cost` fixture for the `qos_scale` bench: the
+//! benchmark cost model, a 4 KiB probe read, and [`populate`], which
+//! leaves a controller in the steady state a loaded host presents every
+//! period (many tenants materialized, ~10 % of them active).
 
 use blkio::{AccessPattern, AppId, DeviceId, GroupId, IoOp, IoRequest, ReqId};
 use ioqos::{IoCostConfig, IoCostController, QosController, SubmitOutcome};

@@ -6,11 +6,11 @@
 //! nothing — no device, no core, no cgroup subtree — so the machine
 //! decouples into one component per SSD and the sharded engine
 //! ([`host_sim::HostSim::run_sharded`]) can run every SSD on its own
-//! worker. The perf snapshot (`perfsnap`), the shard criterion bench,
+//! worker. The shard criterion bench, the `perf_floors` speed-up test
 //! and the shards-axis determinism tests all build their scenarios here
 //! so they measure and check the same machine.
 
-use simcore::{SimDuration, SimTime};
+use simcore::SimDuration;
 use workload::JobSpec;
 
 use crate::{Knob, Scenario};
@@ -85,16 +85,10 @@ pub fn fleet_scenario_faulted(knob: Knob, ssds: usize) -> Scenario {
     s
 }
 
-/// Standard single-cell duration for fleet benchmarking (long enough
-/// that per-shard work dominates coordination).
-#[must_use]
-pub fn bench_duration() -> SimTime {
-    SimTime::from_millis(200)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simcore::SimTime;
 
     #[test]
     fn fleet_decouples_per_ssd() {

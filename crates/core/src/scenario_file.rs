@@ -41,10 +41,13 @@
 //! `checkpoint_size`, `checkpoint_writes`.
 //!
 //! Every malformed construct — unknown key, unknown knob, dangling
-//! cgroup parent, zero devices — fails with a line-numbered
-//! [`DslError`], never a panic, and [`ScenarioSpec::to_toml`]
-//! re-serializes a parsed spec such that re-parsing yields an equal
-//! spec (the round-trip conformance tests pin both properties).
+//! cgroup parent, zero devices, a zero window, depth or block size, a
+//! non-positive rate, a time whose nanoseconds overflow `u64` — fails
+//! with a line-numbered [`DslError`], never a panic, and
+//! [`ScenarioSpec::to_toml`] re-serializes a parsed spec such that
+//! re-parsing yields an equal spec (the conformance tests pin both
+//! properties, and fuzz them with byte mutations of every committed
+//! scenario).
 
 use std::collections::HashSet;
 use std::fmt;
@@ -217,11 +220,41 @@ fn get_u32(table: &DslTable, key: &str, default: u32) -> Result<u32, DslError> {
     }
 }
 
+/// [`get_u32`] for a weight, size, depth or window, which the builders
+/// require to be positive.
+fn get_positive_u32(table: &DslTable, key: &str, default: u32) -> Result<u32, DslError> {
+    match get_u32(table, key, default)? {
+        0 => Err(DslError::at(
+            table.get(key).map_or(table.line, |e| e.line),
+            format!("'{key}' must be positive"),
+        )),
+        v => Ok(v),
+    }
+}
+
 fn get_f64(table: &DslTable, key: &str, default: f64) -> Result<f64, DslError> {
     match table.get(key) {
-        Some(e) => e.as_f64(),
+        Some(e) => finite(e),
         None => Ok(default),
     }
+}
+
+/// The entry as a finite float (`to_toml` cannot write back an infinity).
+fn finite(e: &Entry) -> Result<f64, DslError> {
+    let x = e.as_f64()?;
+    if x.is_finite() {
+        Ok(x)
+    } else {
+        Err(DslError::at(e.line, format!("'{}' must be finite", e.key)))
+    }
+}
+
+/// The entry as a count of `unit` nanoseconds, rejected when the
+/// product overflows `u64` (the `SimTime` constructors do not check).
+fn nanos(e: &Entry, unit: u64) -> Result<u64, DslError> {
+    let v = e.as_u64()?;
+    v.checked_mul(unit)
+        .ok_or_else(|| DslError::at(e.line, format!("'{}' is too large ({v})", e.key)))
 }
 
 fn parse_workload(t: &DslTable, common: &[&str]) -> Result<WorkloadSpec, DslError> {
@@ -269,13 +302,19 @@ fn parse_workload(t: &DslTable, common: &[&str]) -> Result<WorkloadSpec, DslErro
                 }
             };
             let rate = match t.get("rate_mib_s") {
-                Some(e) => Some(e.as_f64()?),
+                Some(e) => {
+                    let r = finite(e)?;
+                    if r <= 0.0 {
+                        return Err(DslError::at(e.line, "'rate_mib_s' must be positive"));
+                    }
+                    Some(r)
+                }
                 None => None,
             };
             Ok(WorkloadSpec::Fio {
                 rw,
-                block_size: get_u32(t, "block_size", 4096)?,
-                iodepth: get_u32(t, "iodepth", 16)?,
+                block_size: get_positive_u32(t, "block_size", 4096)?,
+                iodepth: get_positive_u32(t, "iodepth", 16)?,
                 rate_mib_s: rate,
             })
         }
@@ -289,7 +328,7 @@ fn parse_workload(t: &DslTable, common: &[&str]) -> Result<WorkloadSpec, DslErro
             )?;
             let d = KvConfig::default();
             Ok(WorkloadSpec::App(AppModelSpec::Kv(KvConfig {
-                window: get_u32(t, "window", d.window)?,
+                window: get_positive_u32(t, "window", d.window)?,
                 read_fraction: get_f64(t, "read_fraction", d.read_fraction)?,
                 theta: get_f64(t, "theta", d.theta)?,
                 value_size: get_u32(t, "value_size", d.value_size)?,
@@ -312,7 +351,7 @@ fn parse_workload(t: &DslTable, common: &[&str]) -> Result<WorkloadSpec, DslErro
             )?;
             let d = OltpConfig::default();
             Ok(WorkloadSpec::App(AppModelSpec::Oltp(OltpConfig {
-                window: get_u32(t, "window", d.window)?,
+                window: get_positive_u32(t, "window", d.window)?,
                 reads_per_txn: get_u32(t, "reads_per_txn", d.reads_per_txn)?,
                 read_size: get_u32(t, "read_size", d.read_size)?,
                 log_write_size: get_u32(t, "log_write_size", d.log_write_size)?,
@@ -327,7 +366,7 @@ fn parse_workload(t: &DslTable, common: &[&str]) -> Result<WorkloadSpec, DslErro
             let d = FileServerConfig::default();
             Ok(WorkloadSpec::App(AppModelSpec::FileServer(
                 FileServerConfig {
-                    window: get_u32(t, "window", d.window)?,
+                    window: get_positive_u32(t, "window", d.window)?,
                     files: get_u32(t, "files", d.files)?,
                     append_size: get_u32(t, "append_size", d.append_size)?,
                     think: think_us(t, d.think)?,
@@ -350,7 +389,7 @@ fn parse_workload(t: &DslTable, common: &[&str]) -> Result<WorkloadSpec, DslErro
             )?;
             let d = MlIngestConfig::default();
             Ok(WorkloadSpec::App(AppModelSpec::MlIngest(MlIngestConfig {
-                window: get_u32(t, "window", d.window)?,
+                window: get_positive_u32(t, "window", d.window)?,
                 read_size: get_u32(t, "read_size", d.read_size)?,
                 checkpoint_every: get_u32(t, "checkpoint_every", d.checkpoint_every)?,
                 checkpoint_size: get_u32(t, "checkpoint_size", d.checkpoint_size)?,
@@ -366,7 +405,7 @@ fn parse_workload(t: &DslTable, common: &[&str]) -> Result<WorkloadSpec, DslErro
 
 fn think_us(t: &DslTable, default: SimDuration) -> Result<SimDuration, DslError> {
     match t.get("think_us") {
-        Some(e) => Ok(SimDuration::from_micros(e.as_u64()?)),
+        Some(e) => Ok(SimDuration::from_nanos(nanos(e, 1_000)?)),
         None => Ok(default),
     }
 }
@@ -378,7 +417,8 @@ impl ScenarioSpec {
     ///
     /// Returns a line-numbered [`DslError`] on any syntax error,
     /// unknown key/knob/profile/workload, dangling cgroup parent,
-    /// missing required key, or a scenario with no devices or tenants.
+    /// missing required key, out-of-range value, or a scenario with no
+    /// devices or tenants.
     pub fn parse(src: &str) -> Result<ScenarioSpec, DslError> {
         let doc = Doc::parse(src)?;
         // Reject unknown tables up front.
@@ -407,7 +447,7 @@ impl ScenarioSpec {
             return Err(DslError::at(cores_entry.line, "cores must be positive"));
         }
         let duration_entry = require(root, "duration_ms", "scenario")?;
-        let duration = SimTime::from_millis(duration_entry.as_u64()?);
+        let duration = SimTime::from_nanos(nanos(duration_entry, 1_000_000)?);
         if duration == SimTime::ZERO {
             return Err(DslError::at(
                 duration_entry.line,
@@ -415,7 +455,7 @@ impl ScenarioSpec {
             ));
         }
         let warmup = match root.get("warmup_ms") {
-            Some(e) => SimTime::from_millis(e.as_u64()?),
+            Some(e) => SimTime::from_nanos(nanos(e, 1_000_000)?),
             None => SimTime::ZERO,
         };
         let seed = match root.get("seed") {
@@ -449,6 +489,12 @@ impl ScenarioSpec {
             check_keys(t, &["name", "parent", "weight"])?;
             let name_entry = require(t, "name", "[[cgroup]]")?;
             let cg_name = name_entry.as_str()?.to_owned();
+            if cg_name.is_empty() || cg_name.contains(['/', '\0']) {
+                return Err(DslError::at(
+                    name_entry.line,
+                    format!("invalid cgroup name '{cg_name}' (empty, or contains '/' or NUL)"),
+                ));
+            }
             if cgroups.iter().any(|c| c.name == cg_name) {
                 return Err(DslError::at(
                     name_entry.line,
@@ -470,18 +516,10 @@ impl ScenarioSpec {
                 }
                 None => None,
             };
-            let weight_entry = t.get("weight");
-            let weight = get_u32(t, "weight", 100)?;
-            if weight == 0 {
-                return Err(DslError::at(
-                    weight_entry.map_or(t.line, |e| e.line),
-                    "weight must be positive",
-                ));
-            }
             cgroups.push(CgroupSpec {
                 name: cg_name,
                 parent,
-                weight,
+                weight: get_positive_u32(t, "weight", 100)?,
             });
         }
         if cgroups.is_empty() {

@@ -1,12 +1,15 @@
 //! Conformance suite for the declarative scenario DSL: every committed
 //! `scenarios/*.toml` must parse, re-serialize equivalently, and build
 //! a runnable host; malformed inputs must fail with line-numbered
-//! errors — never a panic.
+//! errors — never a panic. Byte mutations and boundary values applied
+//! to every committed scenario check the same contract (proptest).
 
 use std::fs;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 
 use isol_bench::scenario_file::ScenarioSpec;
+use proptest::prelude::*;
 
 /// The committed scenario directory at the repository root.
 fn scenarios_dir() -> PathBuf {
@@ -217,4 +220,162 @@ fn missing_required_key_is_rejected() {
         .collect::<Vec<_>>()
         .join("\n");
     assert_rejected(&src, "missing required key 'knob'");
+}
+
+#[test]
+fn zero_window_is_rejected() {
+    assert_rejected(
+        &BASE.replace("workload = \"kv\"", "workload = \"kv\"\nwindow = 0"),
+        "'window' must be positive",
+    );
+}
+
+/// A fio tenant with one extra `key = value` line.
+fn fio_with(line: &str) -> String {
+    BASE.replace(
+        "workload = \"kv\"",
+        &format!("workload = \"fio\"\nrw = \"randread\"\n{line}"),
+    )
+}
+
+#[test]
+fn zero_iodepth_is_rejected() {
+    assert_rejected(&fio_with("iodepth = 0"), "'iodepth' must be positive");
+}
+
+#[test]
+fn zero_block_size_is_rejected() {
+    assert_rejected(&fio_with("block_size = 0"), "'block_size' must be positive");
+}
+
+#[test]
+fn non_positive_rate_is_rejected() {
+    for rate in ["0.0", "-1.0", "0"] {
+        assert_rejected(
+            &fio_with(&format!("rate_mib_s = {rate}")),
+            "'rate_mib_s' must be positive",
+        );
+    }
+}
+
+#[test]
+fn durations_that_overflow_nanoseconds_are_rejected() {
+    assert_rejected(
+        &BASE.replace("duration_ms = 20", "duration_ms = 18446744073710"),
+        "'duration_ms' is too large",
+    );
+    assert_rejected(
+        &BASE.replace(
+            "duration_ms = 20",
+            "duration_ms = 20\nwarmup_ms = 18446744073710",
+        ),
+        "'warmup_ms' is too large",
+    );
+    assert_rejected(
+        &BASE.replace(
+            "workload = \"kv\"",
+            "workload = \"kv\"\nthink_us = 18446744073709552",
+        ),
+        "'think_us' is too large",
+    );
+}
+
+#[test]
+fn infinite_float_is_rejected() {
+    // `to_toml` would write it back as `inf`, which does not parse.
+    assert_rejected(
+        &BASE.replace("workload = \"kv\"", "workload = \"kv\"\ntheta = 1e999"),
+        "'theta' must be finite",
+    );
+}
+
+#[test]
+fn cgroup_name_the_hierarchy_refuses_is_rejected() {
+    for name in ["", "g/h", "g\0"] {
+        let src = BASE
+            .replace("name = \"g\"", &format!("name = \"{name}\""))
+            .replace("cgroup = \"g\"", &format!("cgroup = \"{name}\""));
+        assert_rejected(&src, "invalid cgroup name");
+    }
+}
+
+// ===== Fuzz: mutated committed scenarios never panic =====
+
+/// The contract every input meets: a line-numbered error, or a spec
+/// whose `build()` returns and whose `to_toml()` parses back to it.
+fn check_contract(src: &str) -> Result<(), TestCaseError> {
+    let parsed = catch_unwind(|| ScenarioSpec::parse(src));
+    prop_assert!(parsed.is_ok(), "parse panicked on:\n{}", src);
+    match parsed.expect("checked above") {
+        Err(e) => prop_assert!(e.line >= 1, "error without a line: {} in:\n{}", e, src),
+        Ok(spec) => {
+            let built = catch_unwind(AssertUnwindSafe(|| drop(spec.build())));
+            prop_assert!(built.is_ok(), "build panicked on:\n{}", src);
+            let again = ScenarioSpec::parse(&spec.to_toml());
+            prop_assert_eq!(again, Ok(spec), "to_toml() does not round-trip:\n{}", src);
+        }
+    }
+    Ok(())
+}
+
+/// One byte mutation at `at % len`: 0 flips the byte (XOR with `byte`,
+/// forced non-zero), 1 inserts `byte` before it, 2 deletes it, 3 cuts
+/// the text there.
+fn mutate(bytes: &[u8], op: u8, at: usize, byte: u8) -> Vec<u8> {
+    let mut out = bytes.to_vec();
+    let at = at % bytes.len();
+    match op {
+        0 => out[at] ^= byte.max(1),
+        1 => out.insert(at, byte),
+        2 => {
+            out.remove(at);
+        }
+        _ => out.truncate(at),
+    }
+    out
+}
+
+/// Values on the edge of some key's range: zero, a negative float, the
+/// first millisecond count whose nanoseconds overflow `u64`, and
+/// `i64::MAX`.
+const EDGE_VALUES: [&str; 4] = ["0", "-1.0", "18446744073710", "9223372036854775807"];
+
+#[test]
+fn edge_values_in_every_committed_key_never_panic() {
+    for (path, src) in committed_scenarios() {
+        let lines: Vec<&str> = src.lines().collect();
+        for (i, line) in lines.iter().enumerate() {
+            let Some((key, _)) = line.split_once(" = ") else {
+                continue;
+            };
+            for v in EDGE_VALUES {
+                let mut mutant = lines.clone();
+                let edited = format!("{key} = {v}");
+                mutant[i] = &edited;
+                if let Err(e) = check_contract(&mutant.join("\n")) {
+                    panic!("{}: {key} = {v}: {e}", path.display());
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// One flipped, inserted or deleted byte, or a cut, anywhere in a
+    /// committed scenario. Mutations stay ASCII, as the files are.
+    #[test]
+    fn byte_mutations_of_committed_scenarios_never_panic(
+        file in 0usize..64,
+        op in 0u8..4,
+        at in 0usize..1_000_000,
+        byte in 0u8..0x80,
+    ) {
+        let scenarios = committed_scenarios();
+        let (_, src) = &scenarios[file % scenarios.len()];
+        let mutant = String::from_utf8(mutate(src.as_bytes(), op, at, byte))
+            .expect("ASCII in, ASCII out");
+        check_contract(&mutant)?;
+    }
 }
